@@ -17,6 +17,7 @@ bytes are reproducible except for duration_ms.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -422,6 +423,9 @@ def _cmd_bench(args) -> int:
 # Parser
 
 
+# one parser per process: each build leaves thousands of cyclic objects for
+# the garbage collector, which piles up when main() runs many times in-process
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bridgeworks", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)

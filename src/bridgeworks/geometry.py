@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .numerics import Number, TOLERANCE, exact_sqrt, is_exact, values_equal
 
 
@@ -182,10 +180,6 @@ class DistanceTable:
     @property
     def n(self) -> int:
         return len(self.ecc)
-
-    @cached_property
-    def float_array(self) -> np.ndarray:
-        return np.array([[float(d) for d in row] for row in self.dist])
 
 
 def build_distance_table(tree: WeightedTree) -> DistanceTable:

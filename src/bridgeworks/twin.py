@@ -11,8 +11,9 @@ convention p1 < p2.
 
 All shortest paths in T'' factor through the four bridge endpoints, so the
 evaluator uses closed-form expressions over the two tree distance tables.
-A per-source Dijkstra reference implementation is kept alongside for
-cross-checking.
+The searches score candidates with the same expressions on numpy arrays:
+float64 for inexact input, integers scaled by one common denominator for
+exact input.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .geometry import (
     DistanceTable,
     WeightedTree,
     build_distance_table,
-    dijkstra,
     euclidean_distance,
     path_vertices,
     segments_properly_cross,
@@ -143,59 +143,20 @@ def evaluate_constrained_diameter(
     return TwinEvaluation(value, (best_t2[1], best_t2[2]), "t2", 4)
 
 
-def _dijkstra_reference_constrained_diameter(
-    t1: WeightedTree,
-    t2: WeightedTree,
-    b1: tuple[int, int],
-    b2: tuple[int, int],
-) -> Number:
-    """Slow oracle: build T'' explicitly, all-pairs Dijkstra, same rule."""
-    _check_disjoint(b1, b2)
-    n1, n2 = t1.n, t2.n
-    n = n1 + n2
-    adj: list[list[tuple[int, Number]]] = [[] for _ in range(n)]
-    for u, v, w in t1.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for u, v, w in t2.edges:
-        adj[n1 + u].append((n1 + v, w))
-        adj[n1 + v].append((n1 + u, w))
-    for p, q in (b1, b2):
-        w = euclidean_distance(t1.points[p], t2.points[q])
-        adj[p].append((n1 + q, w))
-        adj[n1 + q].append((p, w))
-    dist = [dijkstra(n, adj, s) for s in range(n)]
-    tab1 = build_distance_table(t1)
-    tab2 = build_distance_table(t2)
-    value = None
-    for a in range(n1):
-        for b in range(n2):
-            d = dist[a][n1 + b]
-            if value is None or d > value:
-                value = d
-    for a in range(n1):
-        for b in range(a + 1, n1):
-            d = dist[a][b]
-            if d < tab1.dist[a][b] and d > value:
-                value = d
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            d = dist[n1 + a][n1 + b]
-            if d < tab2.dist[a][b] and d > value:
-                value = d
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Shared numeric scaffolding
 
 
 class _Arrays:
-    """Distance tables and cross distances as numpy arrays.
+    """Distance tables and cross distances as numpy arrays of one type.
 
-    dtype is int64 when every quantity is a Python int, float64 when any
-    input is inexact, and object (exact Python numbers) otherwise. The
-    object path keeps Fractions intact at pure-Python speed.
+    Inexact input (any float among D1, D2 and W), or
+    BRIDGEWORKS_BACKEND=double, gives float64. Exact input is multiplied by
+    `scale`, the lcm of every denominator, and stored as integers: int64
+    while the scaled magnitudes stay below 2**40 (so sums of four terms
+    cannot overflow), an object array of Python ints past that. Scaled
+    integers order exactly as the exact values do; v stands for
+    Fraction(v, scale). `scale` is None on float64.
     """
 
     def __init__(self, t1: WeightedTree, t2: WeightedTree,
@@ -204,40 +165,22 @@ class _Arrays:
             [euclidean_distance(p, q) for q in t2.points]
             for p in t1.points
         ]
-        flat = [x for row in tab1.dist for x in row]
-        flat += [x for row in tab2.dist for x in row]
-        flat += [x for row in W for x in row]
+        tables = (tab1.dist, tab2.dist, W)
+        flat = [x for m in tables for row in m for x in row]
         if backend_override() == "double" or not all(is_exact(x) for x in flat):
-            if all(is_exact(x) for x in flat):
-                dtype = np.float64   # forced double backend
-            elif all(isinstance(x, (int, float)) for x in flat):
-                dtype = np.float64
+            self.scale = None
+            dtype, self.neg, lift = np.float64, -np.inf, float
+        else:
+            scale = self.scale = math.lcm(*{x.denominator for x in flat})
+            lift = lambda x: x.numerator * (scale // x.denominator)  # noqa: E731
+            if max(abs(x) for x in flat) * scale < 2**40:
+                dtype, self.neg = np.int64, np.iinfo(np.int64).min // 4
             else:
-                dtype = object       # mix of Fraction and float: keep exactness
-        elif all(isinstance(x, int) for x in flat) and max(
-            (abs(x) for x in flat), default=0
-        ) < 2**40:
-            dtype = np.int64
-        else:
-            dtype = object
-        if dtype is np.float64:
-            conv = float
-        else:
-            conv = lambda x: x  # noqa: E731
-        self.dtype = dtype
-        self.D1 = np.array([[conv(x) for x in row] for row in tab1.dist], dtype=dtype)
-        self.D2 = np.array([[conv(x) for x in row] for row in tab2.dist], dtype=dtype)
-        self.W = np.array([[conv(x) for x in row] for row in W], dtype=dtype)
-        if dtype is np.int64:
-            self.neg = np.iinfo(np.int64).min // 4
-        elif dtype is np.float64:
-            self.neg = -np.inf
-        else:
-            self.neg = None
-
-    @property
-    def vectorizable(self) -> bool:
-        return self.dtype is not object
+                dtype, self.neg = object, -math.inf
+        self.D1, self.D2, self.W = (
+            np.array([[lift(x) for x in row] for row in m], dtype=dtype)
+            for m in tables
+        )
 
 
 def _batched_values(arr: _Arrays, P1, Q1, P2, Q2) -> np.ndarray:
@@ -264,14 +207,13 @@ def _batched_values(arr: _Arrays, P1, Q1, P2, Q2) -> np.ndarray:
     return np.maximum(val, np.maximum(t1v, t2v))
 
 
-def _value_only(
-    t1, t2, tab1, tab2, cand: tuple[int, int, int, int]
-) -> Number:
-    p1, q1, p2, q2 = cand
-    ev = evaluate_constrained_diameter(
-        t1, t2, (p1, q1), (p2, q2), table1=tab1, table2=tab2
-    )
-    return ev.value
+def _lexmin(arr: _Arrays, cands, best=None):
+    """Lex-min (value, p1, q1, p2, q2) over `best` and the scored candidates."""
+    cands = sorted(cands)
+    vals = _batched_values(arr, *np.array(cands).T)
+    i = int(np.argmin(vals))
+    key = (vals[i], *cands[i])
+    return key if best is None or key < best else best
 
 
 def _normalize(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -348,8 +290,8 @@ def solve_cases_12(
     For every edge pair (e1 in T1, e2 in T2), deleting them splits the trees
     into (T1a, T1b) and (T2a, T2b). Both pairings (T1a-T2a with T1b-T2b, and
     T1a-T2b with T1b-T2a) are tried; each side contributes its own optimal
-    single bridge, and the combined pair is re-scored with the operational
-    evaluator before comparison.
+    single bridge, and the combined pair is re-scored with the full
+    constrained-diameter expressions before comparison.
     """
     _require_sizes(t1, t2)
     tab1, tab2, arr = _ctx if _ctx is not None else _context(t1, t2)
@@ -362,14 +304,14 @@ def solve_cases_12(
         sides1 = (idx1[m1], idx1[~m1])
         for m2 in masks2:
             sides2 = (idx2[m2], idx2[~m2])
-            for flip in (0, 1):
-                ba = _best_bridge_between(arr, sides1[0], sides2[flip])
-                bb = _best_bridge_between(arr, sides1[1], sides2[1 - flip])
-                cand = _normalize(ba, bb)
-                val = _value_only(t1, t2, tab1, tab2, cand)
-                key = (val, *cand)
-                if best is None or key < best:
-                    best = key
+            cands = [
+                _normalize(
+                    _best_bridge_between(arr, sides1[0], sides2[flip]),
+                    _best_bridge_between(arr, sides1[1], sides2[1 - flip]),
+                )
+                for flip in (0, 1)
+            ]
+            best = _lexmin(arr, cands, best)
     return _finish(t1, t2, tab1, tab2, best[1:])
 
 
@@ -396,38 +338,21 @@ def _g_argmax(
     W = arr.W if not swap else arr.W.T  # W[p, q] with p on the path side
     path = list(path)
     k = len(path)
-    if arr.vectorizable:
-        Dp = Dsame[np.ix_(path, path)]
-        Wp = W[path, :]
-        G = (
-            Dp[:, None, :, None]
-            - Wp[:, :, None, None]
-            - Dother[None, :, None, :]
-            - Wp[None, None, :, :]
-        )
-        eye_p = np.eye(k, dtype=bool)
-        G = np.where(eye_p[:, None, :, None], arr.neg, G)
-        eye_q = np.eye(n_other, dtype=bool)
-        G = np.where(eye_q[None, :, None, :], arr.neg, G)
-        flat = int(np.argmax(G))
-        i, a, j, b = np.unravel_index(flat, G.shape)
-        p1, q1, p2, q2 = path[int(i)], int(a), path[int(j)], int(b)
-    else:
-        best = None
-        for i, p1c in enumerate(path):
-            for a in range(n_other):
-                for j, p2c in enumerate(path):
-                    if i == j:
-                        continue
-                    for b in range(n_other):
-                        if a == b:
-                            continue
-                        g = Dsame[p1c][p2c] - (
-                            W[p1c][a] + Dother[a][b] + W[p2c][b]
-                        )
-                        if best is None or g > best[0]:
-                            best = (g, p1c, a, p2c, b)
-        _, p1, q1, p2, q2 = best
+    Dp = Dsame[np.ix_(path, path)]
+    Wp = W[path, :]
+    G = (
+        Dp[:, None, :, None]
+        - Wp[:, :, None, None]
+        - Dother[None, :, None, :]
+        - Wp[None, None, :, :]
+    )
+    eye_p = np.eye(k, dtype=bool)
+    G = np.where(eye_p[:, None, :, None], arr.neg, G)
+    eye_q = np.eye(n_other, dtype=bool)
+    G = np.where(eye_q[None, :, None, :], arr.neg, G)
+    flat = int(np.argmax(G))
+    i, a, j, b = np.unravel_index(flat, G.shape)
+    p1, q1, p2, q2 = path[int(i)], int(a), path[int(j)], int(b)
     if swap:
         p1, q1, p2, q2 = q1, p1, q2, p2
     return p1, q1, p2, q2
@@ -443,7 +368,7 @@ def solve_cases_34(
 
     Case 3 places p1, p2 on T1's diameter path (the bridges form a cycle
     shortening T1's long pairs); case 4 is symmetric for T2. Each case's
-    g-argmax is re-scored by the operational evaluator.
+    g-argmax is re-scored with the full constrained-diameter expressions.
     """
     _require_sizes(t1, t2)
     tab1, tab2, arr = _ctx if _ctx is not None else _context(t1, t2)
@@ -451,19 +376,15 @@ def solve_cases_34(
     path1 = path_vertices(t1, x, z)
     x2, z2 = tab2.diameter_pair
     path2 = path_vertices(t2, x2, z2)
-    best = None
+    cands = []
     for path, swap, no in ((path1, False, t2.n), (path2, True, t1.n)):
         if len(path) < 2:
             continue
         p1, q1, p2, q2 = _g_argmax(arr, path, no, swap=swap)
-        cand = _normalize((p1, q1), (p2, q2))
-        val = _value_only(t1, t2, tab1, tab2, cand)
-        key = (val, *cand)
-        if best is None or key < best:
-            best = key
-    if best is None:
+        cands.append(_normalize((p1, q1), (p2, q2)))
+    if not cands:
         raise ValueError("degenerate trees: no diameter path of length >= 2")
-    return _finish(t1, t2, tab1, tab2, best[1:])
+    return _finish(t1, t2, tab1, tab2, _lexmin(arr, cands)[1:])
 
 
 def _context(t1: WeightedTree, t2: WeightedTree):
@@ -474,7 +395,8 @@ def _context(t1: WeightedTree, t2: WeightedTree):
 
 def solve_twin(t1: WeightedTree, t2: WeightedTree) -> TwinBridgeSolution:
     """Optimal twin bridges: min over the case 1-2 and case 3-4 searches,
-    each candidate scored by the shared evaluator, lexicographic tie-break.
+    each reported solution scored by the shared evaluator, lexicographic
+    tie-break.
     """
     _require_sizes(t1, t2)
     ctx = _context(t1, t2)
@@ -509,24 +431,17 @@ def brute_force_twin(
         for q2 in range(n2)
         if q2 != q1
     ]
-    if arr.vectorizable:
-        P1, Q1, P2, Q2 = (np.array(c) for c in zip(*cands))
-        vals = _batched_values(arr, P1, Q1, P2, Q2)
-        i = int(np.argmin(vals))
-        sol = _finish(t1, t2, tab1, tab2, cands[i])
-        batched = vals[i]
-        if arr.dtype is np.int64:
-            assert int(batched) == sol.value
-        else:
-            assert math.isclose(float(batched), float(sol.value), rel_tol=1e-12, abs_tol=1e-12)
-        return sol
+    # each batch builds B x n x n blocks; bound them to ~2**20 entries
+    step = max(1, 2**20 // max(n1, n2) ** 2)
     best = None
-    for cand in cands:
-        val = _value_only(t1, t2, tab1, tab2, cand)
-        key = (val, *cand)
-        if best is None or key < best:
-            best = key
-    return _finish(t1, t2, tab1, tab2, best[1:])
+    for s in range(0, len(cands), step):
+        best = _lexmin(arr, cands[s:s + step], best)
+    sol = _finish(t1, t2, tab1, tab2, best[1:])
+    if arr.scale is None:
+        assert math.isclose(float(best[0]), float(sol.value), rel_tol=1e-12, abs_tol=1e-12)
+    else:
+        assert Fraction(int(best[0]), arr.scale) == sol.value
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bridgeworks import (
@@ -28,6 +29,7 @@ from bridgeworks import (
     solve_cases_34,
     solve_twin,
 )
+from bridgeworks.twin import _Arrays, _batched_values
 
 
 # ---------------------------------------------------------------- reference
@@ -86,10 +88,10 @@ def float_pair(seed, n_max=7):
     return t1, t2
 
 
-def rational_pair(seed, explicit):
+def rational_pair(seed, explicit, sizes=(3, 7)):
     rng = random.Random(seed)
-    n1 = rng.randint(3, 7)
-    n2 = rng.randint(3, 7)
+    n1 = rng.randint(*sizes)
+    n2 = rng.randint(*sizes)
     def mk(n, x0):
         xs = rng.sample(range(0, 60), n)
         pts = [(Fraction(x0 + x), Fraction(0)) for x in xs]
@@ -99,6 +101,60 @@ def rational_pair(seed, explicit):
             return WeightedTree(pts, edges, explicit_weights=True)
         return WeightedTree(pts, [(rng.randrange(i), i) for i in range(1, n)])
     return mk(n1, 0), mk(n2, 100)
+
+
+def fractional_pair(seed, explicit):
+    """Collinear trees on y = 1/3 with x = k/d, d in {3, 4, 6, 12}; explicit
+    weights are k/5 or k/7."""
+    rng = random.Random(seed)
+    def mk(n, x0):
+        xs = set()
+        while len(xs) < n:
+            d = rng.choice((3, 4, 6, 12))
+            xs.add(Fraction(rng.randrange(x0 * d, (x0 + 60) * d), d))
+        pts = [(x, Fraction(1, 3)) for x in sorted(xs)]
+        rng.shuffle(pts)
+        if explicit:
+            edges = [(rng.randrange(i), i, Fraction(rng.randint(1, 80), rng.choice((5, 7))))
+                     for i in range(1, n)]
+            return WeightedTree(pts, edges, explicit_weights=True)
+        return WeightedTree(pts, [(rng.randrange(i), i) for i in range(1, n)])
+    return mk(rng.randint(3, 7), 0), mk(rng.randint(3, 7), 100)
+
+
+# primes just above 10**13: scaled values overflow int64 headroom
+BIG_PRIMES = (10**13 + 37, 10**13 + 51, 10**13 + 99)
+
+
+def big_denominator_pair(seed):
+    """Collinear trees whose x coordinates (and, on odd seeds, explicit
+    weights) have denominators from BIG_PRIMES."""
+    rng = random.Random(seed)
+    def frac(lo, hi):
+        p = rng.choice(BIG_PRIMES)
+        return Fraction(rng.randrange(lo * p, hi * p), p)
+    def mk(n, x0):
+        pts = [(frac(x0, x0 + 60), Fraction(0)) for _ in range(n)]
+        if seed % 2:
+            edges = [(rng.randrange(i), i, frac(1, 12)) for i in range(1, n)]
+            return WeightedTree(pts, edges, explicit_weights=True)
+        return WeightedTree(pts, [(rng.randrange(i), i) for i in range(1, n)])
+    return mk(rng.randint(3, 5), 0), mk(rng.randint(3, 5), 100)
+
+
+def mixed_pair(seed):
+    """Fraction coordinates (x = k/3) with explicit float weights."""
+    rng = random.Random(seed)
+    def mk(n, x0):
+        xs = rng.sample(range(3 * x0, 3 * (x0 + 60)), n)
+        pts = [(Fraction(x, 3), Fraction(0)) for x in xs]
+        edges = [(rng.randrange(i), i, rng.uniform(1.0, 12.0)) for i in range(1, n)]
+        return WeightedTree(pts, edges, explicit_weights=True)
+    return mk(rng.randint(3, 7), 0), mk(rng.randint(3, 7), 100)
+
+
+def twin_arrays(t1, t2):
+    return _Arrays(t1, t2, build_distance_table(t1), build_distance_table(t2))
 
 
 def all_disjoint_pairs(n1, n2):
@@ -179,16 +235,31 @@ def test_brute_force_guard():
 
 
 def test_brute_force_is_true_min_over_all_pairs():
-    for seed in range(12):
-        t1, t2 = rational_pair(seed, explicit=seed % 2 == 0)
+    exact = [rational_pair(seed, explicit=seed % 2 == 0) for seed in range(12)]
+    exact += [fractional_pair(seed, explicit=seed % 2 == 0) for seed in range(8)]
+    exact += [big_denominator_pair(seed) for seed in range(4)]
+    for t1, t2 in exact:
         sol = brute_force_twin(t1, t2)
+        tabs = dict(table1=build_distance_table(t1), table2=build_distance_table(t2))
         best = None
         for b1, b2 in all_disjoint_pairs(t1.n, t2.n):
-            v = evaluate_constrained_diameter(t1, t2, b1, b2).value
+            v = evaluate_constrained_diameter(t1, t2, b1, b2, **tabs).value
             key = (v, b1[0], b1[1], b2[0], b2[1])
             if best is None or key < best:
                 best = key
         assert (sol.value, *sol.tuple4) == best
+
+
+def test_brute_force_batches_agree_with_one_batch():
+    # 12 x 12 has 8712 candidates, more than one batch of B x 12 x 12 blocks
+    t1, t2 = rational_pair(0, explicit=True, sizes=(12, 12))
+    sol = brute_force_twin(t1, t2)
+    arr = twin_arrays(t1, t2)
+    cands = [(b1[0], b1[1], b2[0], b2[1]) for b1, b2 in all_disjoint_pairs(t1.n, t2.n)]
+    vals = _batched_values(arr, *np.array(cands).T)
+    i = int(np.argmin(vals))
+    assert sol.tuple4 == cands[i]
+    assert sol.value == vals[i]
 
 
 # ---------------------------------------------------------------- solver
@@ -204,8 +275,12 @@ def test_solver_equals_min_of_both_searches():
 
 
 def test_solver_output_invariants():
-    for seed in range(40):
-        t1, t2 = float_pair(seed) if seed % 3 else rational_pair(seed, seed % 2 == 0)
+    pairs = [float_pair(seed) if seed % 3 else rational_pair(seed, seed % 2 == 0)
+             for seed in range(40)]
+    pairs += [fractional_pair(seed, seed % 2 == 0) for seed in range(10)]
+    pairs += [big_denominator_pair(seed) for seed in range(4)]
+    pairs += [mixed_pair(seed) for seed in range(10)]
+    for t1, t2 in pairs:
         tw = solve_twin(t1, t2)
         (p1, q1), (p2, q2) = tw.bridge1, tw.bridge2
         assert p1 != p2 and q1 != q2            # vertex-disjoint bridges
@@ -230,6 +305,48 @@ def test_solver_never_beats_exhaustive_and_ties_on_rational_family():
         tw = solve_twin(t1, t2)
         bf = brute_force_twin(t1, t2)
         assert float(tw.value) >= float(bf.value) - 1e-9
+    # fractional, ~1e13-denominator and mixed families: the floor only,
+    # since the search has a known gap
+    for seed in range(20):
+        for t1, t2 in (fractional_pair(seed, seed % 2 == 0), big_denominator_pair(seed)):
+            tw = solve_twin(t1, t2)
+            bf = brute_force_twin(t1, t2)
+            assert tw.backend == bf.backend == "rational"
+            assert tw.value >= bf.value
+        t1, t2 = mixed_pair(seed)
+        tw = solve_twin(t1, t2)
+        bf = brute_force_twin(t1, t2)
+        assert tw.backend == bf.backend == "double"
+        assert tw.value >= bf.value - 1e-9
+
+
+def test_arrays_pick_one_numeric_type(monkeypatch):
+    # integral exact input: int64, no scaling
+    arr = twin_arrays(*rational_pair(3, explicit=True))
+    assert arr.D1.dtype == np.int64 and arr.scale == 1
+    # fractional exact input: int64 scaled by the lcm of every denominator
+    t1, t2 = fractional_pair(4, explicit=True)
+    arr = twin_arrays(t1, t2)
+    assert arr.D1.dtype == arr.D2.dtype == arr.W.dtype == np.int64
+    tab1 = build_distance_table(t1)
+    dens = {x.denominator for row in tab1.dist for x in row}
+    assert all(arr.scale % d == 0 for d in dens) and arr.scale > 1
+    assert all(Fraction(int(arr.D1[i, j]), arr.scale) == tab1.dist[i][j]
+               for i in range(t1.n) for j in range(t1.n))
+    # denominators near 10**13: Python ints in an object array, still exact
+    t1, t2 = big_denominator_pair(1)
+    arr = twin_arrays(t1, t2)
+    assert arr.D1.dtype == arr.D2.dtype == arr.W.dtype == object
+    assert all(type(x) is int for x in arr.W.flat)
+    w = euclidean_distance(t1.points[0], t2.points[0])
+    assert Fraction(arr.W[0, 0], arr.scale) == w
+    # Fraction coordinates with float weights, float input, forced double
+    for pair in (mixed_pair(2), float_pair(1)):
+        arr = twin_arrays(*pair)
+        assert arr.D1.dtype == arr.W.dtype == np.float64 and arr.scale is None
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    arr = twin_arrays(*fractional_pair(4, explicit=True))
+    assert arr.D1.dtype == np.float64 and arr.scale is None
 
 
 def test_case12_search_known_gap_is_documented():
