@@ -18,13 +18,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import (
-    DistanceTable,
     Point,
     WeightedTree,
-    build_distance_table,
+    build_distance_table,  # noqa: F401  unused; perfbench/tracing.py patches this name
     center_vertex,
     euclidean_distance,
+    first_argmax,
     single_source_tree_distances,
+    tree_eccentricities,
 )
 from .numerics import Number, TOLERANCE, backend_override, is_exact, values_equal
 
@@ -65,44 +66,57 @@ def _backend_of(value: Number) -> str:
     return "rational" if is_exact(value) else "double"
 
 
+def _eccentricity(t: WeightedTree, v: int) -> tuple[Number, int]:
+    """ecc(v) and the lex-min vertex farthest from v, from one sweep.
+
+    Reported eccentricities come from here: a tree_eccentricities entry
+    has the same value but may differ in type (5 vs Fraction(5)), and
+    reports print the two differently.
+    """
+    return first_argmax(single_source_tree_distances(t, v))
+
+
 def solve_exact(
     t1: WeightedTree,
     t2: WeightedTree,
     *,
     threads: int = 1,
-    table1: DistanceTable | None = None,
-    table2: DistanceTable | None = None,
 ) -> BridgeSolution:
-    """Optimal bridge by full scan over vertex pairs, O(n1 * n2)."""
+    """Optimal bridge by full scan over vertex pairs, O(n1 * n2) after
+    O(n1 + n2) tree sweeps."""
     mode = _resolve_mode(t1, t2)
-    tab1 = table1 if table1 is not None else build_distance_table(t1)
-    tab2 = table2 if table2 is not None else build_distance_table(t2)
+    ecc1 = tree_eccentricities(t1)
+    ecc2 = tree_eccentricities(t2)
 
     if mode == "double":
-        p, q, val = _scan_double(t1, t2, tab1, tab2, threads)
+        p, q, val = _scan_double(t1, t2, ecc1.ecc, ecc2.ecc, threads)
         blen = math.hypot(
             float(t1.points[p].x) - float(t2.points[q].x),
             float(t1.points[p].y) - float(t2.points[q].y),
         )
     else:
-        p, q, val, blen = _scan_exact(t1, t2, tab1, tab2)
+        p, q, blen = _scan_exact(t1, t2, ecc1.ecc, ecc2.ecc)
+    ecc_p, x = _eccentricity(t1, p)
+    ecc_q, y = _eccentricity(t2, q)
+    if mode == "rational":
+        # the scan's minimum, summed from eccentricities of the report's type
+        val = ecc_p + blen + ecc_q
 
-    merged = max(tab1.diameter, tab2.diameter, val)
+    merged = max(ecc1.diameter, ecc2.diameter, val)
     return BridgeSolution(
         p=p,
         q=q,
         bridge_length=blen,
         value=val,
         merged_diameter=merged,
-        witness=(tab1.farthest[p], tab2.farthest[q]),
+        witness=(x, y),
         method="exact",
         backend=_backend_of(val),
     )
 
 
-def _scan_exact(t1, t2, tab1, tab2):
+def _scan_exact(t1, t2, e1, e2):
     pts1, pts2 = t1.points, t2.points
-    e1, e2 = tab1.ecc, tab2.ecc
     best = None
     for p in range(len(pts1)):
         a = pts1[p]
@@ -112,15 +126,15 @@ def _scan_exact(t1, t2, tab1, tab2):
             v = ep + w + e2[q]
             if best is None or v < best[0]:
                 best = (v, p, q, w)
-    v, p, q, w = best
-    return p, q, v, w
+    _, p, q, w = best
+    return p, q, w
 
 
-def _scan_double(t1, t2, tab1, tab2, threads):
+def _scan_double(t1, t2, ecc1, ecc2, threads):
     x1 = np.array([[float(p.x), float(p.y)] for p in t1.points])
     x2 = np.array([[float(p.x), float(p.y)] for p in t2.points])
-    e1 = np.array([float(e) for e in tab1.ecc])
-    e2 = np.array([float(e) for e in tab2.ecc])
+    e1 = np.array([float(e) for e in ecc1])
+    e2 = np.array([float(e) for e in ecc2])
 
     def chunk_min(lo: int, hi: int):
         dx = x1[lo:hi, 0:1] - x2[None, :, 0].reshape(1, -1)
@@ -150,15 +164,13 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     r_i the tree radius, which bounds the eccentricity overshoot.
     """
     p, q, blen = bichromatic_closest_pair(t1.points, t2.points)
-    d1 = single_source_tree_distances(t1, p)
-    d2 = single_source_tree_distances(t2, q)
-    ecc1, x = _max_with_argmin_index(d1)
-    ecc2, y = _max_with_argmin_index(d2)
+    ecc1, x = _eccentricity(t1, p)
+    ecc2, y = _eccentricity(t2, q)
     val = ecc1 + blen + ecc2
     # merged diameter needs the component diameters too
-    tab1 = build_distance_table(t1)
-    tab2 = build_distance_table(t2)
-    merged = max(tab1.diameter, tab2.diameter, val)
+    diam1 = tree_eccentricities(t1).diameter
+    diam2 = tree_eccentricities(t2).diameter
+    merged = max(diam1, diam2, val)
     return BridgeSolution(
         p=p,
         q=q,
@@ -171,16 +183,6 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     )
 
 
-def _max_with_argmin_index(vals: Sequence[Number]) -> tuple[Number, int]:
-    best = vals[0]
-    arg = 0
-    for i in range(1, len(vals)):
-        if vals[i] > best:
-            best = vals[i]
-            arg = i
-    return best, arg
-
-
 def bichromatic_closest_pair(
     pts1: Sequence[Point],
     pts2: Sequence[Point],
@@ -189,7 +191,8 @@ def bichromatic_closest_pair(
     """Closest pair across the two point sets; ties by lex-min (i, j).
 
     method="quadratic" is the exact reference scan; "numpy" is a vectorized
-    float scan for large inputs; "auto" picks by input type and size.
+    float scan. Both compute the same IEEE dx*dx + dy*dy on float input, so
+    "auto" takes "quadratic" only for exact input.
     """
     if method not in ("auto", "quadratic", "numpy"):
         raise ValueError(f"unknown method {method!r}")
@@ -197,7 +200,7 @@ def bichromatic_closest_pair(
         is_exact(p.x) and is_exact(p.y) for p in pts2
     )
     if method == "auto":
-        method = "quadratic" if exact_in or len(pts1) * len(pts2) <= 65536 else "numpy"
+        method = "quadratic" if exact_in else "numpy"
 
     if method == "quadratic":
         best = None
@@ -350,10 +353,10 @@ def connect_forest(trees: Sequence[WeightedTree]) -> ForestConnection:
     k = len(trees)
     if k < 2:
         raise ValueError("need at least two trees")
-    tables = [build_distance_table(t) for t in trees]
-    centers = [center_vertex(tab) for tab in tables]
-    radii = [tables[i].ecc[centers[i]] for i in range(k)]
-    diams = [tab.diameter for tab in tables]
+    eccs = [tree_eccentricities(t) for t in trees]
+    centers = [center_vertex(e) for e in eccs]
+    radii = [_eccentricity(t, c)[0] for t, c in zip(trees, centers)]
+    diams = [e.diameter for e in eccs]
 
     best = None
     for h in range(k):

@@ -166,6 +166,44 @@ def single_source_tree_distances(tree: WeightedTree, src: int) -> list[Number]:
     return dist
 
 
+def first_argmax(vals: Sequence[Number]) -> tuple[Number, int]:
+    """Largest value and the lowest index attaining it."""
+    best = vals[0]
+    arg = 0
+    for i in range(1, len(vals)):
+        if vals[i] > best:
+            best = vals[i]
+            arg = i
+    return best, arg
+
+
+class Eccentricities(NamedTuple):
+    ecc: list[Number]
+    diameter: Number
+
+
+def tree_eccentricities(tree: WeightedTree) -> Eccentricities:
+    """Every vertex's eccentricity and the diameter in three sweeps, O(n).
+
+    With nonnegative weights, a (the lex-min farthest vertex from 0) and b
+    (the lex-min farthest vertex from a) end a diameter, and every vertex's
+    farthest distance is to one of them: ecc(v) = max(d(v, a), d(v, b)).
+    On exact input the values equal build_distance_table's; float sums may
+    differ from its entries in the last ulp.
+
+    An entry is a distance to a or b, so with mixed int and Fraction weights
+    it can be Fraction(5) where the table, which measures to v's lex-min
+    farthest vertex, has 5; reports print the two differently. The
+    diameter keeps the table's type: the lex-min end of a diameter is a or
+    b, and the other of the two is its lex-min farthest vertex.
+    """
+    _, a = first_argmax(single_source_tree_distances(tree, 0))
+    da = single_source_tree_distances(tree, a)
+    _, b = first_argmax(da)
+    ecc = list(map(max, da, single_source_tree_distances(tree, b)))
+    return Eccentricities(ecc, max(ecc))
+
+
 @dataclass(frozen=True)
 class DistanceTable:
     """All-pairs tree distances with per-vertex eccentricities."""
@@ -197,12 +235,7 @@ def build_distance_table(tree: WeightedTree) -> DistanceTable:
             raw[z][x] = raw[x][z]
     for s in range(n):
         row = raw[s]
-        best = row[0]
-        arg = 0
-        for i in range(1, n):
-            if row[i] > best:
-                best = row[i]
-                arg = i
+        best, arg = first_argmax(row)
         rows.append(tuple(row))
         ecc.append(best)
         far.append(arg)
@@ -238,7 +271,7 @@ def tree_diameter(tree: WeightedTree) -> tuple[Number, int, int]:
     return t.diameter, x, z
 
 
-def center_vertex(table: DistanceTable) -> int:
+def center_vertex(table: DistanceTable | Eccentricities) -> int:
     """Lex-min vertex of minimum eccentricity."""
     best = min(table.ecc)
     for i, e in enumerate(table.ecc):

@@ -87,6 +87,16 @@ def _token_column(raw: str, tokens: list[str], idx: int) -> int:
     return 1
 
 
+def _parse_cell(raw: str, tokens: list[str], idx: int, line: int) -> Number:
+    try:
+        return parse_number(tokens[idx])
+    except ParseError:
+        pass
+    # the column is looked up only for the error message: doing it for
+    # every number took a fifth of the parse time
+    return parse_number(tokens[idx], line, _token_column(raw, tokens, idx))
+
+
 def _parse_points_edges(text: str, *, weights_allowed: bool):
     lines = list(_content_lines(text))
     if not lines:
@@ -117,8 +127,8 @@ def _parse_points_edges(text: str, *, weights_allowed: bool):
             raise ParseError(f"vertex id {vid} out of range 0..{n - 1}", ln, 1)
         if points[vid] is not None:
             raise ParseError(f"duplicate vertex id {vid}", ln, 1)
-        x = parse_number(toks[1], ln, _token_column(raw, toks, 1))
-        y = parse_number(toks[2], ln, _token_column(raw, toks, 2))
+        x = _parse_cell(raw, toks, 1, ln)
+        y = _parse_cell(raw, toks, 2, ln)
         points[vid] = (x, y)
     edges = []
     saw_weight = False
@@ -135,7 +145,7 @@ def _parse_points_edges(text: str, *, weights_allowed: bool):
                 raise ParseError(f"edge endpoint {e} out of range", ln, 1)
         if len(toks) == 3:
             saw_weight = True
-            w = parse_number(toks[2], ln, _token_column(raw, toks, 2))
+            w = _parse_cell(raw, toks, 2, ln)
             edges.append((u, v, w))
         else:
             saw_bare = True

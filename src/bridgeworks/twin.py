@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bridge import _backend_of, _resolve_mode
 from .geometry import (
     DistanceTable,
     WeightedTree,
@@ -151,7 +152,8 @@ class _Arrays:
     """Distance tables and cross distances as numpy arrays of one type.
 
     Inexact input (any float among D1, D2 and W), or
-    BRIDGEWORKS_BACKEND=double, gives float64. Exact input is multiplied by
+    BRIDGEWORKS_BACKEND=double, gives float64; as for the single bridge,
+    BRIDGEWORKS_BACKEND=rational on inexact trees raises ValueError. Exact input is multiplied by
     `scale`, the lcm of every denominator, and stored as integers: int64
     while the scaled magnitudes stay below 2**40 (so sums of four terms
     cannot overflow), an object array of Python ints past that. Scaled
@@ -167,7 +169,7 @@ class _Arrays:
         ]
         tables = (tab1.dist, tab2.dist, W)
         flat = [x for m in tables for row in m for x in row]
-        if backend_override() == "double" or not all(is_exact(x) for x in flat):
+        if _resolve_mode(t1, t2) == "double" or not all(is_exact(x) for x in flat):
             self.scale = None
             dtype, self.neg, lift = np.float64, -np.inf, float
         else:
@@ -232,14 +234,17 @@ def _finish(
     crossing = segments_properly_cross(
         t1.points[p1], t2.points[q1], t1.points[p2], t2.points[q2]
     )
+    # the evaluator runs on the exact tables; under the forced double
+    # backend its value is reported as a float, as `bridge exact` reports it
+    value = float(ev.value) if backend_override() == "double" else ev.value
     return TwinBridgeSolution(
         bridge1=(p1, q1),
         bridge2=(p2, q2),
-        value=ev.value,
+        value=value,
         dominant_case=ev.dominant_case,
         witness=ev.witness,
         intersecting=crossing,
-        backend="rational" if is_exact(ev.value) else "double",
+        backend=_backend_of(value),
     )
 
 

@@ -13,10 +13,14 @@ from fractions import Fraction
 
 import pytest
 
+import bridgeworks.bridge
+import bridgeworks.geometry
 from bridgeworks import (
     WeightedTree,
     approx_greedy,
+    bichromatic_closest_pair,
     build_distance_table,
+    center_vertex,
     connect_forest,
     euclidean_distance,
     gen_random_tree,
@@ -52,6 +56,18 @@ def rational_pair(seed, n_max=12):
         pts = [(Fraction(x0 + x), Fraction(0)) for x in xs]
         return WeightedTree(pts, [(rng.randrange(i), i) for i in range(1, n)])
     return mk(n1, 0), mk(n2, 200)
+
+
+def mixed_weight_pair(rng):
+    """Integer points, explicit weights mixing int, Fraction and zero, so
+    that equal distances of either type (5 and Fraction(5)) tie often."""
+    weights = [0, 1, 2, Fraction(1, 2), Fraction(3, 2)]
+    def mk(x0):
+        n = rng.randint(1, 9)
+        pts = [(x0 + rng.randrange(10), 0) for _ in range(n)]
+        edges = [(rng.randrange(max(0, i - 2), i), i, rng.choice(weights)) for i in range(1, n)]
+        return WeightedTree(pts, edges, explicit_weights=True)
+    return mk(0), mk(20)
 
 
 def float_pair(seed, n_max=12):
@@ -102,6 +118,48 @@ def test_bridge_solution_invariants():
             for q in range(t2.n):
                 f = tab1.ecc[p] + euclidean_distance(t1.points[p], t2.points[q]) + tab2.ecc[q]
                 assert sol.value <= f
+
+
+def table_answers(t1, t2):
+    """What the solvers report, computed from the all-pairs tables; value
+    types included, since reports print 5 and Fraction(5) differently."""
+    tab1, tab2 = build_distance_table(t1), build_distance_table(t2)
+    _, p, q = min(
+        (tab1.ecc[p] + euclidean_distance(t1.points[p], t2.points[q]) + tab2.ecc[q], p, q)
+        for p in range(t1.n) for q in range(t2.n)
+    )
+    gp, gq, _ = bichromatic_closest_pair(t1.points, t2.points, method="quadratic")
+    out = {}
+    for method, p, q in (("exact", p, q), ("greedy", gp, gq)):
+        blen = euclidean_distance(t1.points[p], t2.points[q])
+        val = tab1.ecc[p] + blen + tab2.ecc[q]
+        out[method] = (p, q, blen, val, max(tab1.diameter, tab2.diameter, val),
+                       (tab1.farthest[p], tab2.farthest[q]), method, "rational")
+    c1, c2 = center_vertex(tab1), center_vertex(tab2)
+    cross = tab1.ecc[c1] + euclidean_distance(t1.points[c1], t2.points[c2]) + tab2.ecc[c2]
+    out["forest"] = (((1, c2, 0, c1),), max(max(tab1.diameter, tab2.diameter), cross), 0)
+    return out
+
+
+def test_single_bridge_solvers_sweep_and_report_what_the_tables_give(monkeypatch):
+    rng = random.Random(29)
+    pairs = [mixed_weight_pair(rng) for _ in range(150)]
+    expected = [table_answers(t1, t2) for t1, t2 in pairs]
+
+    def refuse(tree):
+        raise AssertionError("the single-bridge solvers need no all-pairs table")
+
+    monkeypatch.setattr(bridgeworks.bridge, "build_distance_table", refuse)
+    monkeypatch.setattr(bridgeworks.geometry, "build_distance_table", refuse)
+    for (t1, t2), want in zip(pairs, expected):
+        for method, sol in (("exact", solve_exact(t1, t2)), ("greedy", approx_greedy(t1, t2))):
+            got = (sol.p, sol.q, sol.bridge_length, sol.value, sol.merged_diameter,
+                   sol.witness, sol.method, sol.backend)
+            assert got == want[method]
+            assert [type(x) for x in got] == [type(x) for x in want[method]]
+        conn = connect_forest([t1, t2])
+        got = (conn.bridges, conn.diameter, conn.hub)
+        assert got == want["forest"] and type(conn.diameter) is type(want["forest"][1])
 
 
 def test_threads_do_not_change_result():

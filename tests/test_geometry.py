@@ -16,6 +16,7 @@ import pytest
 from bridgeworks import (
     WeightedTree,
     PlanarGraph,
+    Point,
     build_distance_table,
     center_vertex,
     euclidean_distance,
@@ -26,7 +27,7 @@ from bridgeworks import (
     tree_diameter,
     validate_planar,
 )
-from bridgeworks.geometry import single_source_tree_distances
+from bridgeworks.geometry import first_argmax, single_source_tree_distances, tree_eccentricities
 from bridgeworks.bridge import bichromatic_closest_pair
 
 
@@ -64,6 +65,14 @@ def random_tree(rng, n, mode):
     edges = [(rng.randrange(i), i, Fraction(rng.randint(1, 20)))
              for i in range(1, n)]
     return WeightedTree(pts, edges, explicit_weights=True)
+
+
+def mixed_weight_tree(rng, n):
+    """Explicit weights mixing int, Fraction and zero: equal distances of
+    either type (5 and Fraction(5)) tie often."""
+    weights = [0, 1, 2, Fraction(1, 2), Fraction(3, 2)]
+    edges = [(rng.randrange(max(0, i - 2), i), i, rng.choice(weights)) for i in range(1, n)]
+    return WeightedTree([(x, 0) for x in range(n)], edges, explicit_weights=True)
 
 
 # ---------------------------------------------------------------- distances
@@ -120,6 +129,23 @@ def test_eccentricity_diameter_center_consistency():
         c = center_vertex(table)
         assert table.ecc[c] == min(table.ecc)
         assert all(table.ecc[u] > table.ecc[c] for u in range(c))
+
+
+def test_sweep_eccentricities_equal_the_table_on_exact_input():
+    rng = random.Random(19)
+    trees = [WeightedTree([(Fraction(1, 3), 0)], [])]
+    trees += [random_tree(rng, rng.randint(2, 14), "explicit") for _ in range(20)]
+    trees += [mixed_weight_tree(rng, rng.randint(2, 9)) for _ in range(300)]
+    for tree in trees:
+        table = build_distance_table(tree)
+        sweep = tree_eccentricities(tree)
+        assert sweep.ecc == list(table.ecc)
+        # reports print the diameter, so its type must match too
+        assert (sweep.diameter, type(sweep.diameter)) == (table.diameter, type(table.diameter))
+        assert center_vertex(sweep) == center_vertex(table)
+        for v in range(tree.n):
+            ecc, far = first_argmax(single_source_tree_distances(tree, v))
+            assert (ecc, type(ecc), far) == (table.ecc[v], type(table.ecc[v]), table.farthest[v])
 
 
 def test_diameter_pair_is_lex_min():
@@ -240,6 +266,17 @@ def test_bichromatic_closest_pair_methods_agree():
         b = bichromatic_closest_pair(t1.points, t2.points, method="numpy")
         assert a[:2] == b[:2]
         assert math.isclose(float(a[2]), float(b[2]), rel_tol=1e-9)
+    # float grids: coincident points and many equidistant pairs; both scans
+    # compute the same IEEE squares, so they agree exactly, as does "auto"
+    for _ in range(30):
+        step = rng.choice((0.1, 0.25, 1.0, 1 / 3))
+        pts1, pts2 = (
+            [Point(step * rng.randrange(6), step * rng.randrange(6)) for _ in range(rng.randint(1, 30))]
+            for _ in range(2)
+        )
+        want = bichromatic_closest_pair(pts1, pts2, method="quadratic")
+        assert bichromatic_closest_pair(pts1, pts2, method="numpy") == want
+        assert bichromatic_closest_pair(pts1, pts2) == want
 
 
 def test_bichromatic_closest_pair_tie_is_lex_min():

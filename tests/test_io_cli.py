@@ -107,6 +107,22 @@ def test_tree_parse_errors_point_at_the_line(text, line):
         assert ei.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("2 1\n0 0 0\n  1   1   1/0\n0 1\n", 3, 11),  # y repeats x's text
+        ("2 1\n0 0 0\n1 abc 1  # note\n0 1\n", 3, 3),  # x coordinate
+        ("2 1\n0 0 0\n1 1 1\n0  1    inf\n", 4, 9),  # non-finite weight
+        ("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1 1\n1 2 2/0\n", 6, 5),  # weight
+    ],
+)
+def test_tree_parse_errors_point_at_the_bad_number(text, line, column):
+    with pytest.raises(ParseError) as ei:
+        parse_tree(text)
+    assert (ei.value.line, ei.value.column) == (line, column)
+    assert f"(line {line}, column {column})" in str(ei.value)
+
+
 def test_tree_json_round_trip():
     labeled = WeightedTree(
         [(0, 0), (1, 0)], [(0, 1)], labels=("root", "tip")
@@ -366,10 +382,12 @@ def test_cli_verify_commands(tmp_path, capsys):
 def test_cli_backend_env_is_recorded(tree_files, capsys, monkeypatch):
     p1, p2, _, _ = tree_files
     monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
-    code, rep = report_of(capsys, "bridge", "exact", p1, p2, "--json")
-    assert code == 0
-    assert rep["backend_env"] == "double"
-    assert rep["result"]["backend"] == "double"
+    for cmd in (("bridge", "exact"), ("twin", "solve")):
+        code, rep = report_of(capsys, *cmd, p1, p2, "--json")
+        assert code == 0
+        assert rep["backend_env"] == "double"
+        assert rep["result"]["backend"] == "double"
+        assert isinstance(rep["result"]["value"], float)
 
 
 def test_cli_usage_and_input_errors(tmp_path, capsys):

@@ -349,6 +349,21 @@ def test_arrays_pick_one_numeric_type(monkeypatch):
     assert arr.D1.dtype == np.float64 and arr.scale is None
 
 
+def test_backend_override_reports_double(monkeypatch):
+    # as for the single bridge: exact input, forced double, a float value
+    t1, t2 = fractional_pair(4, explicit=True)
+    exact = [solve(t1, t2) for solve in (solve_twin, brute_force_twin)]
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    for solve, want in zip((solve_twin, brute_force_twin), exact):
+        forced = solve(t1, t2)
+        assert want.backend == "rational" and forced.backend == "double"
+        assert type(forced.value) is float
+        assert math.isclose(forced.value, want.value, rel_tol=1e-12)
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "rational")
+    with pytest.raises(ValueError):
+        solve_twin(*mixed_pair(0))
+
+
 def test_case12_search_known_gap_is_documented():
     """Known limitation kept as a pinned fixture.
 
