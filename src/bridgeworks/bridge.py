@@ -259,75 +259,50 @@ def one_bridge_decide(
     """Is there a bridge (p, q) with |pq| = c1 and leaves x, y such that
     d1(x, p) + c1 + d2(q, y) = c2?  Returns the lex-min witness or None.
 
-    Exact inputs use exact equality; otherwise relative tolerance tol.
+    Exact inputs (backend as in solve_exact, so forcing rational on inexact
+    trees raises ValueError; exact c1 and c2) use exact equality;
+    otherwise relative tolerance tol. Only the endpoints of
+    scanned candidates are swept, and each swept q gets one sorted index
+    of T2's leaf distances, searched by a bisect window per leaf of T1.
     """
-    leaves1 = _leaves(t1)
-    leaves2 = _leaves(t2)
-    exact_mode = (
-        _tree_is_exact(t1)
-        and _tree_is_exact(t2)
-        and is_exact(c1)
-        and is_exact(c2)
-        and backend_override() != "double"
-    )
-
-    # leaf-distance index per vertex of T2: distance -> min leaf id
-    dist2 = [single_source_tree_distances(t2, q) for q in range(t2.n)]
-    if exact_mode:
-        idx2 = []
-        for q in range(t2.n):
-            m: dict = {}
-            for y in leaves2:
-                d = dist2[q][y]
-                if d not in m or y < m[d]:
-                    m[d] = y
-            idx2.append(m)
-    else:
-        idx2 = []
-        for q in range(t2.n):
-            pairs = sorted((float(dist2[q][y]), y) for y in leaves2)
-            idx2.append(pairs)
+    exact = _resolve_mode(t1, t2) == "rational" and is_exact(c1) and is_exact(c2)
+    num = (lambda v: v) if exact else float
 
     # candidate bridge endpoints with |pq| = c1
-    if exact_mode and c1 == 0:
+    if exact and c1 == 0:
         # zero-length bridge means coincident points: hash on coordinates
         by_coord: dict = {}
         for q in range(t2.n):
             by_coord.setdefault(t2.points[q], []).append(q)
-        cand = []
-        for p in range(t1.n):
-            for q in by_coord.get(t1.points[p], ()):
-                cand.append((p, q))
-        cand.sort()
+        cand = [(p, q) for p in range(t1.n) for q in by_coord.get(t1.points[p], ())]
     else:
-        cand = []
-        for p in range(t1.n):
-            a = t1.points[p]
-            for q in range(t2.n):
-                w = euclidean_distance(a, t2.points[q])
-                if values_equal(w, c1, tol):
-                    cand.append((p, q))
+        cand = [
+            (p, q)
+            for p in range(t1.n)
+            for q in range(t2.n)
+            if values_equal(euclidean_distance(t1.points[p], t2.points[q]), c1, tol)
+        ]
 
-    need = c2 - c1
+    leaves1 = _leaves(t1)
+    leaves2 = _leaves(t2)
+    need = num(c2) - num(c1)
+    eps = 0 if exact else tol * max(1.0, abs(float(c2)))
+    rows1: dict[int, list[Number]] = {}
+    index2: dict[int, list[tuple[Number, int]]] = {}
     for p, q in cand:
-        d1 = single_source_tree_distances(t1, p)
-        table = idx2[q]
-        if exact_mode:
-            for x in sorted(leaves1):
-                rem = need - d1[x]
-                y = table.get(rem)
-                if y is not None:
-                    return DecisionWitness(p, q, x, y)
-        else:
-            fneed = float(c2) - float(c1)
-            for x in sorted(leaves1):
-                rem = fneed - float(d1[x])
-                eps = tol * max(1.0, abs(float(c2)))
-                lo = bisect_left(table, (rem - eps, -1))
-                hi = bisect_right(table, (rem + eps, 1 << 60))
-                if lo < hi:
-                    y = min(yy for _, yy in table[lo:hi])
-                    return DecisionWitness(p, q, x, y)
+        if p not in rows1:
+            d1 = single_source_tree_distances(t1, p)
+            rows1[p] = [num(d1[x]) for x in leaves1]
+        if q not in index2:
+            d2 = single_source_tree_distances(t2, q)
+            index2[q] = sorted((num(d2[y]), y) for y in leaves2)
+        table = index2[q]
+        for x, dx in zip(leaves1, rows1[p]):
+            rem = need - dx
+            lo = bisect_left(table, (rem - eps, -1))
+            hi = bisect_right(table, (rem + eps, t2.n))
+            if lo < hi:
+                return DecisionWitness(p, q, x, min(y for _, y in table[lo:hi]))
     return None
 
 

@@ -89,13 +89,13 @@ class WeightedTree:
                 raise ValueError(f"edge must be (u,v) or (u,v,w), got {e!r}")
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ValueError(f"bad edge endpoints ({u},{v}) for n={n}")
-            geo = euclidean_distance(pts[u], pts[v])
             if explicit_weights:
                 if w is None:
                     raise ValueError("explicit_weights=True requires edge weights")
                 if w < 0:
                     raise ValueError(f"negative edge weight {w}")
             else:
+                geo = euclidean_distance(pts[u], pts[v])
                 if w is None:
                     w = geo
                 elif not values_equal(w, geo):
@@ -265,10 +265,19 @@ def build_distance_table(tree: WeightedTree) -> DistanceTable:
 
 
 def tree_diameter(tree: WeightedTree) -> tuple[Number, int, int]:
-    """(diameter, x, z) with (x, z) the lex-min endpoint pair."""
-    t = build_distance_table(tree)
-    x, z = t.diameter_pair
-    return t.diameter, x, z
+    """(diameter, x, z) with (x, z) the lex-min endpoint pair, O(n).
+
+    a (the lex-min farthest vertex from 0) and b (the lex-min farthest from
+    a) are the lex-min diameter end and its lex-min partner, in some order.
+    The value is read from x's sweep, as build_distance_table's mirrored
+    entry is; on float input a last-ulp tie may pick another pair.
+    """
+    _, a = first_argmax(single_source_tree_distances(tree, 0))
+    da = single_source_tree_distances(tree, a)
+    _, b = first_argmax(da)
+    if b < a:
+        a, b, da = b, a, single_source_tree_distances(tree, b)
+    return da[b], a, b
 
 
 def center_vertex(table: DistanceTable | Eccentricities) -> int:
@@ -462,7 +471,3 @@ def dijkstra(
                 dist[v] = nd
                 heapq.heappush(heap, (float(nd), v))
     return dist
-
-
-def graph_all_pairs(graph: PlanarGraph) -> list[list[Number]]:
-    return [dijkstra(graph.n, graph.adjacency, s) for s in range(graph.n)]

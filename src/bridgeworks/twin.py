@@ -406,6 +406,8 @@ def solve_twin(t1: WeightedTree, t2: WeightedTree) -> TwinBridgeSolution:
     _require_sizes(t1, t2)
     ctx = _context(t1, t2)
     s12 = solve_cases_12(t1, t2, _ctx=ctx)
+    if all(x == z for x, z in (ctx[0].diameter_pair, ctx[1].diameter_pair)):
+        return s12  # no diameter path of >= 2 vertices: cases 3-4 are empty
     s34 = solve_cases_34(t1, t2, _ctx=ctx)
     k12 = (s12.value, *s12.tuple4)
     k34 = (s34.value, *s34.tuple4)

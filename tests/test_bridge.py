@@ -29,6 +29,7 @@ from bridgeworks import (
     solve_exact,
 )
 from bridgeworks.geometry import single_source_tree_distances
+from bridgeworks.reductions import cov_to_one_bridge, random_instance, sat_to_cov
 
 
 # ---------------------------------------------------------------- oracle
@@ -226,6 +227,80 @@ def test_decision_tolerance_on_floats():
     t2 = WeightedTree([(3.0, 0.0), (3.0, 4.0)], [(0, 1)])
     assert one_bridge_decide(t1, t2, 0.0, 7.0 + 1e-12) is not None
     assert one_bridge_decide(t1, t2, 0.0, 7.1) is None
+
+
+def test_decision_follows_the_solver_backend_rule(monkeypatch):
+    # forcing rational on float trees fails as it does for solve_exact
+    t1 = WeightedTree([(0.0, 0.0), (3.0, 0.0)], [(0, 1)])
+    t2 = WeightedTree([(3.0, 0.0), (3.0, 4.0)], [(0, 1)])
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "rational")
+    with pytest.raises(ValueError, match="requires exact"):
+        one_bridge_decide(t1, t2, 0, 7)
+
+
+def reduction_call(seed, shift=0):
+    """A one-bridge decision from the 1-in-3-SAT reduction; shift moves c2
+    off every leaf-path sum, so every candidate gets scanned."""
+    t1, t2, params = cov_to_one_bridge(sat_to_cov(random_instance(6, 4, seed)))
+    return t1, t2, params.c1, params.c2 + shift
+
+
+def grid_call(rng):
+    """Axis-aligned integer trees (some coincident points) and thresholds
+    read off a random bridge and two random vertices, or just off them."""
+    def grid_tree(n):
+        pts = [(rng.randint(0, 2), 0)]
+        edges = []
+        for i in range(1, n):
+            u = rng.randrange(i)
+            dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+            step = rng.randint(0, 2)
+            pts.append((pts[u][0] + dx * step, pts[u][1] + dy * step))
+            edges.append((u, i))
+        return WeightedTree(pts, edges)
+    t1, t2 = grid_tree(rng.randint(1, 9)), grid_tree(rng.randint(1, 9))
+    p, q = rng.randrange(t1.n), rng.randrange(t2.n)
+    x, y = rng.randrange(t1.n), rng.randrange(t2.n)
+    c1 = euclidean_distance(t1.points[p], t2.points[q])
+    c2 = (single_source_tree_distances(t1, p)[x] + c1
+          + single_source_tree_distances(t2, q)[y] + rng.choice((0, 0, Fraction(1, 2))))
+    return t1, t2, c1, c2
+
+
+def test_decision_sweeps_only_scanned_candidate_endpoints(monkeypatch):
+    calls = []
+
+    def counting(tree, src):
+        calls.append((id(tree), src))
+        return single_source_tree_distances(tree, src)
+
+    monkeypatch.setattr(bridgeworks.bridge, "single_source_tree_distances", counting)
+    for shift in (0, Fraction(1, 9)):
+        t1, t2, c1, c2 = reduction_call(65, shift)
+        calls.clear()
+        w = one_bridge_decide(t1, t2, c1, c2)
+        assert (w is None) == (shift != 0)
+        # c1 = 0: the candidates are the coincident pairs, scanned in order
+        cand = [(p, q) for p in range(t1.n) for q in range(t2.n)
+                if t1.points[p] == t2.points[q]]
+        scanned = cand if w is None else cand[:cand.index((w.p, w.q)) + 1]
+        ends = len({p for p, _ in scanned}) + len({q for _, q in scanned})
+        assert len(calls) == len(set(calls)) == ends < t2.n
+
+
+def test_decision_agrees_across_backends(monkeypatch):
+    rng = random.Random(37)
+    cases = [reduction_call(seed, shift) for seed in (0, 3, 65, 112)
+             for shift in (0, Fraction(1, 9))]
+    cases += [grid_call(rng) for _ in range(150)]
+    found = 0
+    for t1, t2, c1, c2 in cases:
+        monkeypatch.delenv("BRIDGEWORKS_BACKEND", raising=False)
+        want = one_bridge_decide(t1, t2, c1, c2)
+        monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+        assert one_bridge_decide(t1, t2, c1, c2) == want
+        found += want is not None
+    assert 0 < found < len(cases)
 
 
 # ---------------------------------------------------------------- forest

@@ -143,6 +143,8 @@ def test_sweep_eccentricities_equal_the_table_on_exact_input():
         # reports print the diameter, so its type must match too
         assert (sweep.diameter, type(sweep.diameter)) == (table.diameter, type(table.diameter))
         assert center_vertex(sweep) == center_vertex(table)
+        d, x, z = tree_diameter(tree)
+        assert (d, type(d), (x, z)) == (table.diameter, type(table.diameter), table.diameter_pair)
         for v in range(tree.n):
             ecc, far = first_argmax(single_source_tree_distances(tree, v))
             assert (ecc, type(ecc), far) == (table.ecc[v], type(table.ecc[v]), table.farthest[v])
@@ -159,6 +161,7 @@ def test_diameter_pair_is_lex_min():
     table = build_distance_table(star)
     assert table.diameter == 10
     assert table.diameter_pair == (1, 2)  # first pair realizing 10
+    assert tree_diameter(star) == (10, 1, 2)
 
 
 def test_exact_inputs_stay_exact():

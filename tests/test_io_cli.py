@@ -390,6 +390,30 @@ def test_cli_backend_env_is_recorded(tree_files, capsys, monkeypatch):
         assert isinstance(rep["result"]["value"], float)
 
 
+def test_cli_rational_backend_rejects_float_trees(tmp_path, capsys, monkeypatch):
+    p1 = write_tree(tmp_path, "f1.txt", WeightedTree([(0.5, 0), (3, 1)], [(0, 1)]))
+    p2 = write_tree(tmp_path, "f2.txt", WeightedTree([(3, 1), (3, 4.5)], [(0, 1)]))
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "rational")
+    for cmd in (("bridge", "exact"), ("bridge", "decide", "--c1", "0", "--c2", "7"),
+                ("twin", "solve")):
+        code, out, err = run_cli(capsys, *cmd, p1, p2)
+        assert code == 2
+        assert "requires exact coordinates/weights" in err
+
+
+def test_cli_twin_solve_on_zero_diameter_trees(tmp_path, capsys):
+    # two single edges of explicit weight 0
+    p1 = write_tree(tmp_path, "z1.txt", WeightedTree(
+        [(0, 0), (1, 0)], [(0, 1, 0)], explicit_weights=True))
+    p2 = write_tree(tmp_path, "z2.txt", WeightedTree(
+        [(10, 0), (11, 0)], [(0, 1, 0)], explicit_weights=True))
+    reps = [report_of(capsys, "twin", mode, p1, p2, "--json") for mode in ("solve", "brute")]
+    assert [code for code, _ in reps] == [0, 0]
+    (_, solve), (_, brute) = reps
+    assert solve["result"] == brute["result"]
+    assert solve["result"]["value"] == 9
+
+
 def test_cli_usage_and_input_errors(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

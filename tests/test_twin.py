@@ -210,6 +210,16 @@ def test_evaluator_witness_realizes_value():
             assert ev.dominant_case == 4
 
 
+def test_zero_diameter_trees_take_the_case_12_result():
+    # single edges of explicit weight 0: neither tree has a diameter path
+    # of >= 2 vertices, so cases 3-4 are empty
+    t1 = WeightedTree([(0, 0), (1, 0)], [(0, 1, 0)], explicit_weights=True)
+    t2 = WeightedTree([(10, 0), (11, 0)], [(0, 1, 0)], explicit_weights=True)
+    tw = solve_twin(t1, t2)
+    assert tw == brute_force_twin(t1, t2) == solve_cases_12(t1, t2)
+    assert (tw.value, tw.bridge1, tw.bridge2) == (9, (0, 1), (1, 0))
+
+
 def test_same_tree_pair_with_tied_route_is_excluded():
     # T1 spans 0..4 on the x-axis, T2 sits inside it; the T1 pair's route
     # through both bridges ties its tree route exactly and must not count
