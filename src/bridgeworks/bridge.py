@@ -48,11 +48,11 @@ def _tree_is_exact(t: WeightedTree) -> bool:
     )
 
 
-def _resolve_mode(t1: WeightedTree, t2: WeightedTree) -> str:
+def _resolve_mode(*trees: WeightedTree) -> str:
     ov = backend_override()
     if ov == "double":
         return "double"
-    exact_in = _tree_is_exact(t1) and _tree_is_exact(t2)
+    exact_in = all(_tree_is_exact(t) for t in trees)
     if ov == "rational":
         if not exact_in:
             raise ValueError(
@@ -64,6 +64,13 @@ def _resolve_mode(t1: WeightedTree, t2: WeightedTree) -> str:
 
 def _backend_of(value: Number) -> str:
     return "rational" if is_exact(value) else "double"
+
+
+def _reported(x: Number) -> Number:
+    """x as a solver reports it: a float under BRIDGEWORKS_BACKEND=double,
+    which may otherwise leave exact values (a dominating tree diameter,
+    exact eccentricities) in the report."""
+    return float(x) if backend_override() == "double" else x
 
 
 def _eccentricity(t: WeightedTree, v: int) -> tuple[Number, int]:
@@ -102,7 +109,7 @@ def solve_exact(
         # the scan's minimum, summed from eccentricities of the report's type
         val = ecc_p + blen + ecc_q
 
-    merged = max(ecc1.diameter, ecc2.diameter, val)
+    merged = _reported(max(ecc1.diameter, ecc2.diameter, val))
     return BridgeSolution(
         p=p,
         q=q,
@@ -161,8 +168,10 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
 
     Guarantee: merged-diameter value at most twice the optimum. The closest
     pair minimizes |pq|, and any bridge value is at least max(r1, r2) with
-    r_i the tree radius, which bounds the eccentricity overshoot.
+    r_i the tree radius, which bounds the eccentricity overshoot. Backend
+    as in solve_exact.
     """
+    _resolve_mode(t1, t2)  # raises when rational is forced on inexact trees
     p, q, blen = bichromatic_closest_pair(t1.points, t2.points)
     ecc1, x = _eccentricity(t1, p)
     ecc2, y = _eccentricity(t2, q)
@@ -170,7 +179,8 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     # merged diameter needs the component diameters too
     diam1 = tree_eccentricities(t1).diameter
     diam2 = tree_eccentricities(t2).diameter
-    merged = max(diam1, diam2, val)
+    merged = _reported(max(diam1, diam2, val))
+    blen, val = _reported(blen), _reported(val)
     return BridgeSolution(
         p=p,
         q=q,
@@ -186,34 +196,15 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
 def bichromatic_closest_pair(
     pts1: Sequence[Point],
     pts2: Sequence[Point],
-    method: str = "auto",
 ) -> tuple[int, int, Number]:
     """Closest pair across the two point sets; ties by lex-min (i, j).
 
-    method="quadratic" is the exact reference scan; "numpy" is a vectorized
-    float scan. Both compute the same IEEE dx*dx + dy*dy on float input, so
-    "auto" takes "quadratic" only for exact input.
+    Exact input takes the exact quadratic scan, float input a vectorized
+    scan in blocks of rows; on float input both compute the same IEEE
+    dx*dx + dy*dy, so they agree.
     """
-    if method not in ("auto", "quadratic", "numpy"):
-        raise ValueError(f"unknown method {method!r}")
-    exact_in = all(is_exact(p.x) and is_exact(p.y) for p in pts1) and all(
-        is_exact(p.x) and is_exact(p.y) for p in pts2
-    )
-    if method == "auto":
-        method = "quadratic" if exact_in else "numpy"
-
-    if method == "quadratic":
-        best = None
-        for i, a in enumerate(pts1):
-            for j, b in enumerate(pts2):
-                dx = a.x - b.x
-                dy = a.y - b.y
-                d2 = dx * dx + dy * dy
-                if best is None or d2 < best[0]:
-                    best = (d2, i, j)
-        _, i, j = best
-        return i, j, euclidean_distance(pts1[i], pts2[j])
-
+    if all(is_exact(p.x) and is_exact(p.y) for p in (*pts1, *pts2)):
+        return _closest_pair_scan(pts1, pts2)
     x1 = np.array([[float(p.x), float(p.y)] for p in pts1])
     x2 = np.array([[float(p.x), float(p.y)] for p in pts2])
     best = None
@@ -228,6 +219,22 @@ def bichromatic_closest_pair(
         cand = (float(d2[r, c]), lo + r, c)
         if best is None or cand < best:
             best = cand
+    _, i, j = best
+    return i, j, euclidean_distance(pts1[i], pts2[j])
+
+
+def _closest_pair_scan(
+    pts1: Sequence[Point], pts2: Sequence[Point]
+) -> tuple[int, int, Number]:
+    """Reference O(n1 * n2) scan on squared distances, in the input's arithmetic."""
+    best = None
+    for i, a in enumerate(pts1):
+        for j, b in enumerate(pts2):
+            dx = a.x - b.x
+            dy = a.y - b.y
+            d2 = dx * dx + dy * dy
+            if best is None or d2 < best[0]:
+                best = (d2, i, j)
     _, i, j = best
     return i, j, euclidean_distance(pts1[i], pts2[j])
 
@@ -254,14 +261,13 @@ def one_bridge_decide(
     t2: WeightedTree,
     c1: Number,
     c2: Number,
-    tol: float = TOLERANCE,
 ) -> DecisionWitness | None:
     """Is there a bridge (p, q) with |pq| = c1 and leaves x, y such that
     d1(x, p) + c1 + d2(q, y) = c2?  Returns the lex-min witness or None.
 
     Exact inputs (backend as in solve_exact, so forcing rational on inexact
     trees raises ValueError; exact c1 and c2) use exact equality;
-    otherwise relative tolerance tol. Only the endpoints of
+    otherwise relative tolerance TOLERANCE. Only the endpoints of
     scanned candidates are swept, and each swept q gets one sorted index
     of T2's leaf distances, searched by a bisect window per leaf of T1.
     """
@@ -280,13 +286,13 @@ def one_bridge_decide(
             (p, q)
             for p in range(t1.n)
             for q in range(t2.n)
-            if values_equal(euclidean_distance(t1.points[p], t2.points[q]), c1, tol)
+            if values_equal(euclidean_distance(t1.points[p], t2.points[q]), c1)
         ]
 
     leaves1 = _leaves(t1)
     leaves2 = _leaves(t2)
     need = num(c2) - num(c1)
-    eps = 0 if exact else tol * max(1.0, abs(float(c2)))
+    eps = 0 if exact else TOLERANCE * max(1.0, abs(float(c2)))
     rows1: dict[int, list[Number]] = {}
     index2: dict[int, list[tuple[Number, int]]] = {}
     for p, q in cand:
@@ -324,10 +330,12 @@ def connect_forest(trees: Sequence[WeightedTree]) -> ForestConnection:
     the hub's center; keep the hub minimizing the merged diameter (ties to
     the lower hub index). For two trees this is center-to-center, whose
     value r1 + |c1 c2| + r2 is at most twice the optimal bridge value.
+    Backend as in solve_exact.
     """
     k = len(trees)
     if k < 2:
         raise ValueError("need at least two trees")
+    _resolve_mode(*trees)  # raises when rational is forced on inexact trees
     eccs = [tree_eccentricities(t) for t in trees]
     centers = [center_vertex(e) for e in eccs]
     radii = [_eccentricity(t, c)[0] for t, c in zip(trees, centers)]
@@ -344,7 +352,7 @@ def connect_forest(trees: Sequence[WeightedTree]) -> ForestConnection:
         # merged graph is a star of trees rooted at center(h)
         arms = [radii[i] + offs[i] for i in range(k)]
         top = sorted(arms, reverse=True)
-        cross = top[0] + top[1] if k >= 2 else 0
+        cross = top[0] + top[1]
         diam = max(max(diams), cross)
         if best is None or (diam, h) < (best[0], best[1]):
             best = (diam, h)
@@ -352,7 +360,7 @@ def connect_forest(trees: Sequence[WeightedTree]) -> ForestConnection:
     bridges = tuple(
         (i, centers[i], h, centers[h]) for i in range(k) if i != h
     )
-    return ForestConnection(bridges=bridges, diameter=diam, hub=h)
+    return ForestConnection(bridges=bridges, diameter=_reported(diam), hub=h)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ Subcommands:
     gen fig2|fig3                named example instances
     reduce sat-to-onebridge | sat-to-3sum | vc-to-rdbp
     verify iff-onebridge | iff-3sum | iff-rdbp
-    bench                        scaling measurements (informational)
+
+reduce sat-to-3sum and verify iff-3sum take --k (default 3) for k-SUM.
+Every solver follows BRIDGEWORKS_BACKEND (rational or double) as the
+library does. Scaling measurements live in the perfbench/ harness.
 
 Exit codes: 0 solved / verified true, 1 decision false or verification
 disagreement, 2 input or usage error. --json prints a run report whose
@@ -24,7 +27,6 @@ import os
 import sys
 import time
 
-from . import bench as bench_mod
 from .bridge import (
     approx_greedy,
     connect_forest,
@@ -36,6 +38,7 @@ from .geometry import WeightedTree
 from .io import (
     ParseError,
     format_number,
+    number_to_json,
     parse_graph,
     parse_number,
     parse_sat,
@@ -45,29 +48,16 @@ from .io import (
     serialize_graph,
     serialize_tree,
 )
-from .numerics import is_exact
 from .reductions import (
     cov_to_one_bridge,
     sat_to_cov,
     sat_to_ksum,
-    sat_to_threesum,
     vc_to_rdbp,
     verify_ksum_iff,
     verify_one_bridge_iff,
     verify_rdbp_iff,
-    verify_threesum_iff,
 )
 from .twin import brute_force_twin, solve_twin
-
-
-def _num_json(x):
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return x
-    if is_exact(x):
-        return format_number(x)
-    return float(x)
 
 
 def _file_digest(path: str) -> str:
@@ -90,7 +80,7 @@ class _Run:
             "command": [a for a in args._argv],
             "instances": [],
             "result": {},
-            "seed": getattr(args, "seed", None),
+            "seed": None,
             "backend_env": os.environ.get("BRIDGEWORKS_BACKEND"),
         }
 
@@ -119,9 +109,9 @@ def _bridge_result(sol) -> dict:
     return {
         "p": sol.p,
         "q": sol.q,
-        "bridge_length": _num_json(sol.bridge_length),
-        "value": _num_json(sol.value),
-        "merged_diameter": _num_json(sol.merged_diameter),
+        "bridge_length": number_to_json(sol.bridge_length),
+        "value": number_to_json(sol.value),
+        "merged_diameter": number_to_json(sol.merged_diameter),
         "witness": list(sol.witness),
         "method": sol.method,
         "backend": sol.backend,
@@ -132,7 +122,7 @@ def _twin_result(sol) -> dict:
     return {
         "bridge1": list(sol.bridge1),
         "bridge2": list(sol.bridge2),
-        "value": _num_json(sol.value),
+        "value": number_to_json(sol.value),
         "dominant_case": sol.dominant_case,
         "witness": list(sol.witness),
         "intersecting": sol.intersecting,
@@ -169,8 +159,8 @@ def _cmd_bridge(args) -> int:
         c2 = parse_number(args.c2)
         witness = one_bridge_decide(t1, t2, c1, c2)
         result = {
-            "c1": _num_json(c1),
-            "c2": _num_json(c2),
+            "c1": number_to_json(c1),
+            "c2": number_to_json(c2),
             "witness": None
             if witness is None
             else {"p": witness.p, "q": witness.q, "x": witness.x, "y": witness.y},
@@ -230,7 +220,7 @@ def _cmd_forest(args) -> int:
     conn = connect_forest(trees)
     result = {
         "hub": conn.hub,
-        "diameter": _num_json(conn.diameter),
+        "diameter": number_to_json(conn.diameter),
         "bridges": [list(b) for b in conn.bridges],
     }
     human = [f"hub tree {conn.hub}", f"diameter {format_number(conn.diameter)}"]
@@ -264,7 +254,7 @@ def _cmd_gen(args) -> int:
         sys.stdout.write(serialize_tree(t2))
     result = {
         "which": args.which,
-        "eps": _num_json(eps),
+        "eps": number_to_json(eps),
         "written": paths,
         "vertices": [t1.n, t2.n],
     }
@@ -302,23 +292,16 @@ def _cmd_reduce(args) -> int:
         }
         return run.finish(result, [f"wrote {p}" for p in result["written"]], 0)
     if args.which == "sat-to-3sum":
-        if args.k is not None and args.k != 3:
-            inst = sat_to_ksum(sat, args.k)
-            values = inst.integers
-            extra = {"k": args.k, "digits": inst.n_digits}
-        else:
-            inst3 = sat_to_threesum(sat)
-            values = inst3.integers
-            extra = {"k": 3, "digits": inst3.n_digits}
-        text = serialize_integers(values)
+        inst = sat_to_ksum(sat, args.k)
+        text = serialize_integers(inst.integers)
         paths = []
         if args.out:
             _write(args.out, text)
             paths.append(args.out)
         else:
             sys.stdout.write(text)
-        result = {"count": len(values), "written": paths}
-        result.update(extra)
+        result = {"count": len(inst.integers), "written": paths,
+                  "k": args.k, "digits": inst.n_digits}
         return run.finish(result, [f"wrote {p}" for p in paths], 0)
     # vc-to-rdbp
     with open(args.graph, "r", encoding="utf-8") as fh:
@@ -377,11 +360,7 @@ def _cmd_verify(args) -> int:
         with open(args.sat, "r", encoding="utf-8") as fh:
             sat = parse_sat(fh.read())
         run.add_instance(args.sat, "sat", variables=sat.n_vars, clauses=sat.m)
-        rep = (
-            verify_threesum_iff(sat)
-            if args.k in (None, 3)
-            else verify_ksum_iff(sat, args.k)
-        )
+        rep = verify_ksum_iff(sat, args.k)
         result = {"sat": rep.sat, "sum_hit": rep.sum_hit, "consistent": rep.consistent}
         lines = [
             f"sat {str(rep.sat).lower()} / sum {str(rep.sum_hit).lower()}",
@@ -404,19 +383,6 @@ def _cmd_verify(args) -> int:
         "consistent" if rep.consistent else "INCONSISTENT",
     ]
     return run.finish(result, lines, 0 if rep.consistent else 1)
-
-
-def _cmd_bench(args) -> int:
-    run = _Run(args)
-    report = bench_mod.run_bench(seed=args.seed)
-    lines = [
-        f"exact exponent {report['exact']['exponent']:.2f} "
-        f"over n={report['exact']['sizes']}",
-        f"twin exponent {report['twin']['exponent']:.2f} "
-        f"over n={report['twin']['sizes']}",
-        f"approx/exact total time ratio {report['approx']['time_ratio_vs_exact']:.3f}",
-    ]
-    return run.finish(report, lines, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(func=_cmd_reduce)
     rp = rsub.add_parser("sat-to-3sum")
     rp.add_argument("--sat", required=True)
-    rp.add_argument("--k", type=int)
+    rp.add_argument("--k", type=int, default=3)
     rp.add_argument("--out")
     common(rp)
     rp.set_defaults(func=_cmd_reduce)
@@ -509,18 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     vp.set_defaults(func=_cmd_verify)
     vp = vsub.add_parser("iff-3sum")
     vp.add_argument("--sat", required=True)
-    vp.add_argument("--k", type=int)
+    vp.add_argument("--k", type=int, default=3)
     common(vp)
     vp.set_defaults(func=_cmd_verify)
     vp = vsub.add_parser("iff-rdbp")
     vp.add_argument("--graph", required=True)
     common(vp)
     vp.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="scaling measurements")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_bench)
 
     return ap
 

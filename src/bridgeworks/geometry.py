@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -213,7 +212,6 @@ class DistanceTable:
     farthest: tuple[int, ...]          # lex-min argmax of each row
     diameter: Number
     diameter_pair: tuple[int, int]     # lex-min (x, z), x <= z
-    all_exact: bool
 
     @property
     def n(self) -> int:
@@ -225,7 +223,6 @@ def build_distance_table(tree: WeightedTree) -> DistanceTable:
     rows = []
     ecc = []
     far = []
-    all_exact = True
     raw = [single_source_tree_distances(tree, s) for s in range(n)]
     # float path sums depend on accumulation order, so d(x,z) and d(z,x)
     # can differ in the last ulp; mirror the upper triangle to keep the
@@ -239,8 +236,6 @@ def build_distance_table(tree: WeightedTree) -> DistanceTable:
         rows.append(tuple(row))
         ecc.append(best)
         far.append(arg)
-        if all_exact:
-            all_exact = all(is_exact(d) for d in row)
     diam = max(ecc)
     # lex-min (x, z) with x <= z realizing the diameter; the first vertex
     # whose ecc equals diam only has partners above it, so scanning up works
@@ -260,7 +255,6 @@ def build_distance_table(tree: WeightedTree) -> DistanceTable:
         farthest=tuple(far),
         diameter=diam,
         diameter_pair=pair,
-        all_exact=all_exact,
     )
 
 

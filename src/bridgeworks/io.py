@@ -210,7 +210,7 @@ def serialize_pairs(pairs) -> str:
 # JSON mirror
 
 
-def _number_to_json(x: Number):
+def number_to_json(x: Number):
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
@@ -233,11 +233,11 @@ def _number_from_json(v) -> Number:
 def tree_to_json_dict(tree: WeightedTree) -> dict:
     d = {
         "n": tree.n,
-        "points": [[_number_to_json(x), _number_to_json(y)] for x, y in tree.points],
+        "points": [[number_to_json(x), number_to_json(y)] for x, y in tree.points],
         "explicit_weights": tree.explicit_weights,
     }
     if tree.explicit_weights:
-        d["edges"] = [[u, v, _number_to_json(w)] for u, v, w in tree.edges]
+        d["edges"] = [[u, v, number_to_json(w)] for u, v, w in tree.edges]
     else:
         d["edges"] = [[u, v] for u, v, _ in tree.edges]
     if tree.labels is not None:

@@ -17,6 +17,7 @@ can never start; carry_overflow_example shows the k = 7 failure).
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -187,17 +188,18 @@ def ksum_brute_force(
     inst: KSumInstance | tuple[int, ...],
     k: int | None = None,
 ) -> tuple[int, ...] | None:
-    """Lex-min strictly increasing index k-tuple summing to zero, or None."""
+    """Lex-min strictly increasing index k-tuple summing to zero, or None.
+    k = 3 takes the hash-assisted threesum_brute_force."""
     if isinstance(inst, KSumInstance):
         s, kk = inst.integers, inst.k
     else:
         s, kk = inst, k
         if kk is None:
             raise ValueError("k required when passing a raw tuple")
-    import math
-
     if math.comb(len(s), kk) > 10**7:
         raise ValueError("search space above 10^7 combinations")
+    if kk == 3:
+        return threesum_brute_force(s)
     for combo in itertools.combinations(range(len(s)), kk):
         if sum(s[i] for i in combo) == 0:
             return combo
@@ -233,13 +235,7 @@ class SumIffReport:
 
 
 def verify_threesum_iff(inst: OneInThreeSatInstance) -> SumIffReport:
-    from .sat import one_in_three_sat_brute_force
-
-    if inst.n_vars > 12 or inst.m > 8:
-        raise ValueError("verification guarded to n_vars <= 12, m <= 8")
-    sat = one_in_three_sat_brute_force(inst) is not None
-    hit = threesum_brute_force(sat_to_threesum(inst)) is not None
-    return SumIffReport(sat=sat, sum_hit=hit)
+    return verify_ksum_iff(inst, 3)
 
 
 def verify_ksum_iff(inst: OneInThreeSatInstance, k: int) -> SumIffReport:

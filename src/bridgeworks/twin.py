@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bridge import _backend_of, _resolve_mode
+from .bridge import _backend_of, _reported, _resolve_mode
 from .geometry import (
     DistanceTable,
     WeightedTree,
@@ -34,7 +34,7 @@ from .geometry import (
     path_vertices,
     segments_properly_cross,
 )
-from .numerics import Number, backend_override, is_exact
+from .numerics import Number, is_exact
 
 
 @dataclass(frozen=True)
@@ -234,9 +234,8 @@ def _finish(
     crossing = segments_properly_cross(
         t1.points[p1], t2.points[q1], t1.points[p2], t2.points[q2]
     )
-    # the evaluator runs on the exact tables; under the forced double
-    # backend its value is reported as a float, as `bridge exact` reports it
-    value = float(ev.value) if backend_override() == "double" else ev.value
+    # the evaluator runs on the exact tables even under a forced double backend
+    value = _reported(ev.value)
     return TwinBridgeSolution(
         bridge1=(p1, q1),
         bridge2=(p2, q2),
@@ -324,6 +323,10 @@ def solve_cases_12(
 # Case 3-4 search: cycle savings along a diameter path
 
 
+# entries of G scored at once: every pair with n <= 16 takes one chunk
+_G_CHUNK = 2**16
+
+
 def _g_argmax(
     arr: _Arrays,
     path: Sequence[int],
@@ -336,7 +339,10 @@ def _g_argmax(
 
     swap=False searches T1's diameter path (case 3); swap=True searches
     T2's (case 4). Returns the winning candidate as (p1, q1, p2, q2) in
-    T1-first order.
+    T1-first order, the first maximum in (p1, q1, p2, q2) index order.
+    The k x n x k x n tensor of g is scored in chunks of p1 rows of at
+    most _G_CHUNK entries (one row if a row is larger); a later chunk
+    wins only when strictly greater, as a single argmax would decide.
     """
     Dsame = arr.D1 if not swap else arr.D2
     Dother = arr.D2 if not swap else arr.D1
@@ -345,19 +351,23 @@ def _g_argmax(
     k = len(path)
     Dp = Dsame[np.ix_(path, path)]
     Wp = W[path, :]
-    G = (
-        Dp[:, None, :, None]
-        - Wp[:, :, None, None]
-        - Dother[None, :, None, :]
-        - Wp[None, None, :, :]
-    )
     eye_p = np.eye(k, dtype=bool)
-    G = np.where(eye_p[:, None, :, None], arr.neg, G)
-    eye_q = np.eye(n_other, dtype=bool)
-    G = np.where(eye_q[None, :, None, :], arr.neg, G)
-    flat = int(np.argmax(G))
-    i, a, j, b = np.unravel_index(flat, G.shape)
-    p1, q1, p2, q2 = path[int(i)], int(a), path[int(j)], int(b)
+    eye_q = np.eye(n_other, dtype=bool)[None, :, None, :]
+    rows = max(1, _G_CHUNK // (n_other * k * n_other))
+    best = None
+    for lo in range(0, k, rows):
+        G = (
+            Dp[lo:lo + rows, None, :, None]
+            - Wp[lo:lo + rows, :, None, None]
+            - Dother[None, :, None, :]
+            - Wp[None, None, :, :]
+        )
+        G = np.where(eye_p[lo:lo + rows, None, :, None] | eye_q, arr.neg, G)
+        flat = int(np.argmax(G))
+        if best is None or G.flat[flat] > best[0]:
+            best = (G.flat[flat], lo, np.unravel_index(flat, G.shape))
+    _, lo, (i, a, j, b) = best
+    p1, q1, p2, q2 = path[lo + int(i)], int(a), path[int(j)], int(b)
     if swap:
         p1, q1, p2, q2 = q1, p1, q2, p2
     return p1, q1, p2, q2

@@ -18,7 +18,6 @@ import bridgeworks.geometry
 from bridgeworks import (
     WeightedTree,
     approx_greedy,
-    bichromatic_closest_pair,
     build_distance_table,
     center_vertex,
     connect_forest,
@@ -28,8 +27,11 @@ from bridgeworks import (
     one_bridge_decide,
     solve_exact,
 )
+from bridgeworks.bridge import _closest_pair_scan
 from bridgeworks.geometry import single_source_tree_distances
+from bridgeworks.numerics import is_exact
 from bridgeworks.reductions import cov_to_one_bridge, random_instance, sat_to_cov
+from bridgeworks.twin import brute_force_twin, solve_cases_12, solve_cases_34, solve_twin
 
 
 # ---------------------------------------------------------------- oracle
@@ -129,7 +131,7 @@ def table_answers(t1, t2):
         (tab1.ecc[p] + euclidean_distance(t1.points[p], t2.points[q]) + tab2.ecc[q], p, q)
         for p in range(t1.n) for q in range(t2.n)
     )
-    gp, gq, _ = bichromatic_closest_pair(t1.points, t2.points, method="quadratic")
+    gp, gq, _ = _closest_pair_scan(t1.points, t2.points)
     out = {}
     for method, p, q in (("exact", p, q), ("greedy", gp, gq)):
         blen = euclidean_distance(t1.points[p], t2.points[q])
@@ -177,6 +179,57 @@ def test_backend_override_forces_double(monkeypatch):
     forced = solve_exact(t1, t2)
     assert forced.backend == "double"
     assert math.isclose(float(forced.value), float(exact.value), rel_tol=1e-9)
+
+
+def reported_numbers(sol):
+    if hasattr(sol, "merged_diameter"):
+        return [sol.bridge_length, sol.value, sol.merged_diameter]
+    if hasattr(sol, "hub"):
+        return [sol.diameter]
+    return [sol.value]
+
+
+SOLVERS = {
+    "exact": solve_exact,
+    "greedy": approx_greedy,
+    "forest": lambda t1, t2: connect_forest([t1, t2]),
+    "twin": solve_twin,
+    "twin_brute": brute_force_twin,
+    "cases_12": solve_cases_12,
+    "cases_34": solve_cases_34,
+}
+
+
+def test_every_solver_follows_the_backend_override(monkeypatch):
+    exact_pairs = [
+        # a 3-4-5 corner and a segment; every solver stays exact by default
+        (WeightedTree([(0, 0), (4, 0), (4, 3)], [(0, 1), (1, 2)]),
+         WeightedTree([(10, 0), (14, 0)], [(0, 1)])),
+        # T1's diameter 200 dominates every single bridge's value
+        (WeightedTree([(0, 0), (100, 0), (200, 0)], [(0, 1), (1, 2)]),
+         WeightedTree([(100, 1), (100, 2)], [(0, 1)])),
+    ]
+    default = [{name: solve(t1, t2) for name, solve in SOLVERS.items()} for t1, t2 in exact_pairs]
+    decide = [one_bridge_decide(t1, t2, 6, 13) for t1, t2 in exact_pairs]
+    assert all(is_exact(x) for sols in default for sol in sols.values()
+               for x in reported_numbers(sol))
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    for (t1, t2), want, witness in zip(exact_pairs, default, decide):
+        for name, solve in SOLVERS.items():
+            sol = solve(t1, t2)
+            got = reported_numbers(sol)
+            assert all(type(x) is float for x in got), (name, got)
+            assert got == [float(x) for x in reported_numbers(want[name])], name
+            assert getattr(sol, "backend", "double") == "double", name
+        assert one_bridge_decide(t1, t2, 6, 13) == witness
+
+    # float trees under a forced rational backend: every solver refuses
+    t1 = WeightedTree([(0.5, 0), (3, 1)], [(0, 1)])
+    t2 = WeightedTree([(3, 1), (3, 4.5)], [(0, 1)])
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "rational")
+    for solve in (*SOLVERS.values(), lambda t1, t2: one_bridge_decide(t1, t2, 0, 7)):
+        with pytest.raises(ValueError, match="requires exact coordinates/weights"):
+            solve(t1, t2)
 
 
 # ---------------------------------------------------------------- greedy

@@ -28,7 +28,7 @@ from bridgeworks import (
     validate_planar,
 )
 from bridgeworks.geometry import first_argmax, single_source_tree_distances, tree_eccentricities
-from bridgeworks.bridge import bichromatic_closest_pair
+from bridgeworks.bridge import _closest_pair_scan, bichromatic_closest_pair
 
 
 # ---------------------------------------------------------------- oracle
@@ -168,12 +168,8 @@ def test_exact_inputs_stay_exact():
     pts = [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(0)), (Fraction(3), Fraction(4))]
     tree = WeightedTree(pts, [(0, 1), (1, 2)])
     table = build_distance_table(tree)
-    assert table.all_exact
     assert table.dist[0][2] == Fraction(7)
     assert all(isinstance(d, (int, Fraction)) for row in table.dist for d in row)
-
-    fl = WeightedTree([(0.0, 0.0), (1.5, 0.2)], [(0, 1)])
-    assert not build_distance_table(fl).all_exact
 
 
 def test_explicit_weights_override_geometry():
@@ -265,21 +261,19 @@ def test_bichromatic_closest_pair_methods_agree():
         n2 = rng.randint(1, 40)
         t1 = gen_random_tree(max(n1, 2), rng.randrange(10**6))
         t2 = gen_random_tree(max(n2, 2), rng.randrange(10**6), bbox=(50, 50, 150, 150))
-        a = bichromatic_closest_pair(t1.points, t2.points, method="quadratic")
-        b = bichromatic_closest_pair(t1.points, t2.points, method="numpy")
+        a = _closest_pair_scan(t1.points, t2.points)
+        b = bichromatic_closest_pair(t1.points, t2.points)
         assert a[:2] == b[:2]
         assert math.isclose(float(a[2]), float(b[2]), rel_tol=1e-9)
     # float grids: coincident points and many equidistant pairs; both scans
-    # compute the same IEEE squares, so they agree exactly, as does "auto"
+    # compute the same IEEE squares, so they agree exactly
     for _ in range(30):
         step = rng.choice((0.1, 0.25, 1.0, 1 / 3))
         pts1, pts2 = (
             [Point(step * rng.randrange(6), step * rng.randrange(6)) for _ in range(rng.randint(1, 30))]
             for _ in range(2)
         )
-        want = bichromatic_closest_pair(pts1, pts2, method="quadratic")
-        assert bichromatic_closest_pair(pts1, pts2, method="numpy") == want
-        assert bichromatic_closest_pair(pts1, pts2) == want
+        assert bichromatic_closest_pair(pts1, pts2) == _closest_pair_scan(pts1, pts2)
 
 
 def test_bichromatic_closest_pair_tie_is_lex_min():
@@ -288,9 +282,11 @@ def test_bichromatic_closest_pair_tie_is_lex_min():
     pts2 = [(Fraction(2), Fraction(0)), (Fraction(3), Fraction(5))]
     t1 = WeightedTree(pts1, [(0, 1)])
     t2 = WeightedTree(pts2, [(0, 1)])
-    i, j, d = bichromatic_closest_pair(t1.points, t2.points, method="quadratic")
+    i, j, d = bichromatic_closest_pair(t1.points, t2.points)
     assert (i, j, d) == (0, 0, 2)
-    assert bichromatic_closest_pair(t1.points, t2.points, method="numpy")[:2] == (0, 0)
+    # the same tie on float input goes through the numpy scan
+    as_float = [[Point(float(p.x), float(p.y)) for p in t.points] for t in (t1, t2)]
+    assert bichromatic_closest_pair(*as_float)[:2] == (0, 0)
 
 
 # ---------------------------------------------------------------- generator

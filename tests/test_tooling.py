@@ -1,0 +1,39 @@
+"""The repository's scripts keep running against the library: every site
+the benchmark's span tracer patches (`perfbench/run.py --trace 1`) names a
+library callable, and every demo script exits 0."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def tracing_sites():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.SITES
+
+
+def test_tracing_sites_name_library_callables():
+    sites = tracing_sites()
+    assert sites
+    for module, attr, span in sites:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr, span)
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_script_exits_zero(script, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "BRIDGEWORKS_BACKEND"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

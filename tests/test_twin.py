@@ -11,11 +11,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import bridgeworks.twin
 from bridgeworks import (
     WeightedTree,
     brute_force_twin,
@@ -29,7 +31,7 @@ from bridgeworks import (
     solve_cases_34,
     solve_twin,
 )
-from bridgeworks.twin import _Arrays, _batched_values
+from bridgeworks.twin import _G_CHUNK, _Arrays, _batched_values, _g_argmax
 
 
 # ---------------------------------------------------------------- reference
@@ -372,6 +374,48 @@ def test_backend_override_reports_double(monkeypatch):
     monkeypatch.setenv("BRIDGEWORKS_BACKEND", "rational")
     with pytest.raises(ValueError):
         solve_twin(*mixed_pair(0))
+
+
+def collinear_path(n, x0):
+    return WeightedTree([(x0 + i, 0) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def test_case34_search_memory_is_bounded(monkeypatch):
+    # scoring all 40 x 40 x 40 x 40 entries of g at once peaks at ~39 MB
+    t1, t2 = collinear_path(40, 0), collinear_path(40, 100)
+    tracemalloc.start()
+    try:
+        got = solve_cases_34(t1, t2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000, peak
+    monkeypatch.setattr(bridgeworks.twin, "_G_CHUNK", 40**4)
+    assert solve_cases_34(t1, t2) == got
+
+
+def case34_argmaxes(t1, t2):
+    arr = twin_arrays(t1, t2)
+    out = []
+    for t, swap, n_other in ((t1, False, t2.n), (t2, True, t1.n)):
+        path = path_vertices(t, *build_distance_table(t).diameter_pair)
+        if len(path) >= 2:
+            out.append(_g_argmax(arr, path, n_other, swap=swap))
+    return out
+
+
+def test_case34_chunks_agree_with_one_chunk(monkeypatch):
+    # the benchmark's sizes (n <= 9) score g in one chunk
+    assert _G_CHUNK >= 9**4
+    pairs = [float_pair(seed, n_max=9) for seed in range(12)]
+    pairs += [rational_pair(seed, seed % 2 == 0, sizes=(3, 9)) for seed in range(12)]
+    pairs += [fractional_pair(seed, seed % 2 == 0) for seed in range(6)]
+    pairs += [big_denominator_pair(seed) for seed in range(4)]
+    pairs += [mixed_pair(seed) for seed in range(6)]
+    pairs.append((collinear_path(9, 0), collinear_path(9, 100)))
+    want = [case34_argmaxes(t1, t2) for t1, t2 in pairs]
+    monkeypatch.setattr(bridgeworks.twin, "_G_CHUNK", 1)  # one p1 row per chunk
+    assert [case34_argmaxes(t1, t2) for t1, t2 in pairs] == want
 
 
 def test_case12_search_known_gap_is_documented():
