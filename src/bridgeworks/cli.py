@@ -49,6 +49,7 @@ from .io import (
     serialize_tree,
 )
 from .reductions import (
+    OneInThreeSatInstance,
     cov_to_one_bridge,
     sat_to_cov,
     sat_to_ksum,
@@ -65,9 +66,25 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_tree(path: str) -> WeightedTree:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+        return fh.read()
+
+
+def _load_tree(path: str) -> WeightedTree:
+    return parse_tree(_read(path))
+
+
+def _load_sat(run: _Run, path: str) -> OneInThreeSatInstance:
+    sat = parse_sat(_read(path))
+    run.add_instance(path, "sat", variables=sat.n_vars, clauses=sat.m)
+    return sat
+
+
+def _load_graph(run: _Run, path: str):
+    points, edges = parse_graph(_read(path))
+    run.add_instance(path, "graph", vertices=len(points), edges=len(edges))
+    return points, edges
 
 
 class _Run:
@@ -265,12 +282,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_reduce(args) -> int:
     run = _Run(args)
-    if args.which in ("sat-to-onebridge", "sat-to-3sum"):
-        with open(args.sat, "r", encoding="utf-8") as fh:
-            sat = parse_sat(fh.read())
-        run.add_instance(args.sat, "sat", variables=sat.n_vars, clauses=sat.m)
     if args.which == "sat-to-onebridge":
-        cov = sat_to_cov(sat)
+        cov = sat_to_cov(_load_sat(run, args.sat))
         t1, t2, params = cov_to_one_bridge(cov)
         os.makedirs(args.out_dir, exist_ok=True)
         p1 = os.path.join(args.out_dir, "t1.txt")
@@ -292,7 +305,7 @@ def _cmd_reduce(args) -> int:
         }
         return run.finish(result, [f"wrote {p}" for p in result["written"]], 0)
     if args.which == "sat-to-3sum":
-        inst = sat_to_ksum(sat, args.k)
+        inst = sat_to_ksum(_load_sat(run, args.sat), args.k)
         text = serialize_integers(inst.integers)
         paths = []
         if args.out:
@@ -304,10 +317,7 @@ def _cmd_reduce(args) -> int:
                   "k": args.k, "digits": inst.n_digits}
         return run.finish(result, [f"wrote {p}" for p in paths], 0)
     # vc-to-rdbp
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        points, edges = parse_graph(fh.read())
-    run.add_instance(args.graph, "graph", vertices=len(points), edges=len(edges))
-    inst = vc_to_rdbp(points, edges, args.k)
+    inst = vc_to_rdbp(*_load_graph(run, args.graph), args.k)
     os.makedirs(args.out_dir, exist_ok=True)
     pg = os.path.join(args.out_dir, "graph.txt")
     ppr = os.path.join(args.out_dir, "pairs.txt")
@@ -340,10 +350,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     run = _Run(args)
     if args.which == "iff-onebridge":
-        with open(args.sat, "r", encoding="utf-8") as fh:
-            sat = parse_sat(fh.read())
-        run.add_instance(args.sat, "sat", variables=sat.n_vars, clauses=sat.m)
-        rep = verify_one_bridge_iff(sat)
+        rep = verify_one_bridge_iff(_load_sat(run, args.sat))
         result = {
             "sat": rep.sat,
             "cov": rep.cov,
@@ -357,20 +364,14 @@ def _cmd_verify(args) -> int:
         ]
         return run.finish(result, lines, 0 if rep.consistent else 1)
     if args.which == "iff-3sum":
-        with open(args.sat, "r", encoding="utf-8") as fh:
-            sat = parse_sat(fh.read())
-        run.add_instance(args.sat, "sat", variables=sat.n_vars, clauses=sat.m)
-        rep = verify_ksum_iff(sat, args.k)
+        rep = verify_ksum_iff(_load_sat(run, args.sat), args.k)
         result = {"sat": rep.sat, "sum_hit": rep.sum_hit, "consistent": rep.consistent}
         lines = [
             f"sat {str(rep.sat).lower()} / sum {str(rep.sum_hit).lower()}",
             "consistent" if rep.consistent else "INCONSISTENT",
         ]
         return run.finish(result, lines, 0 if rep.consistent else 1)
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        points, edges = parse_graph(fh.read())
-    run.add_instance(args.graph, "graph", vertices=len(points), edges=len(edges))
-    rep = verify_rdbp_iff(points, edges)
+    rep = verify_rdbp_iff(*_load_graph(run, args.graph))
     result = {
         "cover_size": rep.cover_size,
         "budget_size": rep.budget_size,

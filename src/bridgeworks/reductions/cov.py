@@ -1,12 +1,13 @@
 """Complementary vectors from 1-in-3 SAT, and the geometric one-bridge
 decision instances that answer them.
 
-Digit map (per half-assignment, per clause): count the clause literals made
-true by the half-assignment among the variables it covers; the digit is 0
-for exactly one, 1 for none, 2 for two or more. Two vectors u, v are
-complementary iff every digit of both is binary and u_i + v_i = 1 for all i.
-The formula is satisfiable (exactly one true literal per clause) iff some
-A-vector and B-vector are complementary.
+Digit map (per half-assignment, per clause): the shared clause digit of
+sat.clause_digit_blocks (true literals among the half's variables, capped
+at 2) with 0 and 1 swapped, so the digit is 0 for exactly one, 1 for none,
+2 for two or more. Two vectors u, v are complementary iff every digit of
+both is binary and u_i + v_i = 1 for all i. The formula is satisfiable
+(exactly one true literal per clause) iff some A-vector and B-vector are
+complementary.
 
 Tree construction: each vector becomes a root-to-leaf path whose edge
 weights are (1/3)^(i-1) for digit 0, 0 for digit 1, and 4 for digit 2, so a
@@ -21,13 +22,12 @@ below the path roots witness the leaf-distance threshold C + 2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..geometry import WeightedTree
 from ..numerics import Number
-from .sat import OneInThreeSatInstance
+from .sat import OneInThreeSatInstance, clause_digit_blocks
 
 Vector = tuple[int, ...]
 
@@ -44,48 +44,19 @@ class CovInstance:
     source: OneInThreeSatInstance | None = None
 
 
-def _digit(clause, half_vars: frozenset[int], assignment_map: dict[int, bool]) -> int:
-    true_count = 0
-    for lit in clause:
-        v = abs(lit)
-        if v in half_vars and assignment_map[v] == (lit > 0):
-            true_count += 1
-    if true_count == 1:
-        return 0
-    if true_count == 0:
-        return 1
-    return 2
-
-
 def sat_to_cov(inst: OneInThreeSatInstance) -> CovInstance:
     """Split variables into two halves (padding odd counts with a fresh
     unused variable) and emit one digit vector per half-assignment.
     """
-    n = inst.n_vars
-    n_padded = n if n % 2 == 0 else n + 1
-    if n_padded > 24:
-        raise ValueError("vector enumeration capped at 24 (padded) variables")
-    half = n_padded // 2
-    vars_a = tuple(range(1, half + 1))
-    vars_b = tuple(range(half + 1, n_padded + 1))
-    set_a, set_b = frozenset(vars_a), frozenset(vars_b)
+    (vars_a, aa, da), (vars_b, ab, db) = clause_digit_blocks(inst, 2)
 
-    def side(vars_half, half_set):
-        vectors, assignments = [], []
-        for bits in itertools.product((False, True), repeat=len(vars_half)):
-            amap = dict(zip(vars_half, bits))
-            vectors.append(
-                tuple(_digit(c, half_set, amap) for c in inst.clauses)
-            )
-            assignments.append(bits)
-        return tuple(vectors), tuple(assignments)
+    def cov(vectors):
+        return tuple(tuple((1, 0, 2)[d] for d in v) for v in vectors)
 
-    va, aa = side(vars_a, set_a)
-    vb, ab = side(vars_b, set_b)
     return CovInstance(
         m=inst.m,
-        vectors_a=va,
-        vectors_b=vb,
+        vectors_a=cov(da),
+        vectors_b=cov(db),
         assignments_a=aa,
         assignments_b=ab,
         half_a_vars=vars_a,
@@ -133,65 +104,39 @@ class OneBridgeReductionParams:
     depth_sums_b: tuple[Fraction, ...]
 
 
-def _edge_lengths(vec: Vector) -> list[Fraction]:
-    out = []
-    for i, d in enumerate(vec, start=1):
-        if d == 0:
-            out.append(Fraction(1, 3) ** (i - 1))
-        elif d == 1:
-            out.append(Fraction(0))
-        else:
-            out.append(Fraction(4))
-    return out
-
-
 def _build_side(
     vectors: tuple[Vector, ...],
-    m: int,
+    steps: list[tuple[Fraction, Fraction, Fraction]],
     c: Fraction,
-    *,
-    lower: bool,
+    sign: int,
 ) -> tuple[WeightedTree, list[Fraction]]:
-    """One tree: anchor -- center -- star of digit paths.
+    """One tree: anchor -- center -- star of digit paths; steps[i][d] is
+    the edge weight of digit d at position i + 1.
 
-    lower=False builds the tree whose terminals sit at (0, c - depth) with
-    the center at (1/2, c) and anchor above; lower=True mirrors it below:
-    center (-1/2, 0), terminals (0, depth), anchor below.
+    sign=1 builds the tree whose terminals sit at (0, c - depth) with the
+    center at (1/2, c) and anchor above; sign=-1 mirrors it below: center
+    (-1/2, 0), terminals (0, depth), anchor below.
     """
-    half = Fraction(1, 2)
-    if not lower:
-        anchor = (half, c + 1)
-        center = (half, c)
-    else:
-        anchor = (-half, Fraction(-1))
-        center = (-half, Fraction(0))
-    points: list[tuple] = [anchor, center]
+    base = c if sign > 0 else Fraction(0)
+    half = sign * Fraction(1, 2)
+    points: list[tuple] = [(half, base + sign), (half, base)]
     labels = ["anchor", "center"]
     edges: list[tuple[int, int, Number]] = [(0, 1, Fraction(1))]
     depths: list[Fraction] = []
+    m = len(steps)
     for k, vec in enumerate(vectors):
-        lengths = _edge_lengths(vec)
-        total = sum(lengths, Fraction(0))
-        depths.append(total)
         binary = max(vec, default=0) <= 1
-        if binary:
-            col = half if not lower else -half
-        else:
-            col = half + (k + 1) if not lower else -half - (k + 1)
+        col = half if binary else half + sign * (k + 1)
         prev = 1  # center index
-        partial = Fraction(0)
-        for i, ell in enumerate(lengths, start=1):
-            partial += ell
-            if binary and i == m:
-                x = Fraction(0)
-            else:
-                x = col
-            y = (c - partial) if not lower else partial
-            points.append((x, y))
+        depth = Fraction(0)
+        for i, d in enumerate(vec, start=1):
+            ell = steps[i - 1][d]
+            depth += ell
+            points.append((Fraction(0) if binary and i == m else col, base - sign * depth))
             labels.append(f"v{k}.{i}")
-            idx = len(points) - 1
-            edges.append((prev, idx, ell))
-            prev = idx
+            edges.append((prev, len(points) - 1, ell))
+            prev = len(points) - 1
+        depths.append(depth)
     tree = WeightedTree(points, edges, labels=tuple(labels), explicit_weights=True)
     return tree, depths
 
@@ -206,8 +151,9 @@ def cov_to_one_bridge(
     if m < 1:
         raise ValueError("need at least one digit position")
     c = Fraction(3, 2) * (1 - Fraction(1, 3) ** m)
-    t1, depths_a = _build_side(inst.vectors_a, m, c, lower=False)
-    t2, depths_b = _build_side(inst.vectors_b, m, c, lower=True)
+    steps = [(Fraction(1, 3) ** i, Fraction(0), Fraction(4)) for i in range(m)]
+    t1, depths_a = _build_side(inst.vectors_a, steps, c, 1)
+    t2, depths_b = _build_side(inst.vectors_b, steps, c, -1)
     params = OneBridgeReductionParams(
         m=m,
         c=c,

@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 
 Clause = tuple[int, int, int]
+# (variables, assignments, clause-digit vectors) of one variable block
+Block = tuple[tuple[int, ...], tuple[tuple[bool, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,36 @@ def one_in_three_sat_brute_force(
         if inst.satisfies(bits):
             return bits
     return None
+
+
+def clause_digit_blocks(inst: OneInThreeSatInstance, groups: int) -> list[Block]:
+    """The clause-digit encoding shared by the SAT reductions.
+
+    Variables 1..n are split into `groups` consecutive blocks of
+    ceil(n / groups), the last one padded with unused variables. Each block
+    gives (variables, assignments, vectors): every assignment of its
+    variables in lex order (False < True), and for each one the vector of
+    clause digits, a digit being the number of clause literals made true by
+    the block's variables, capped at 2.
+    """
+    per = -(-inst.n_vars // groups)
+    if per > 12:
+        raise ValueError("enumeration capped at 12 variables per block")
+    blocks = []
+    for g in range(groups):
+        lo = g * per + 1
+        # each clause's literals inside the block: (offset, wanted value)
+        lits = [
+            [(abs(lit) - lo, lit > 0) for lit in c if 0 <= abs(lit) - lo < per]
+            for c in inst.clauses
+        ]
+        assignments = tuple(itertools.product((False, True), repeat=per))
+        vectors = tuple(
+            tuple(min(sum(bits[i] == want for i, want in ls), 2) for ls in lits)
+            for bits in assignments
+        )
+        blocks.append((tuple(range(lo, lo + per)), assignments, vectors))
+    return blocks
 
 
 def random_instance(

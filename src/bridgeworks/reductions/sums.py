@@ -1,10 +1,10 @@
 """3-SUM and k-SUM instances from 1-in-3 SAT via positional digit encoding.
 
-Digit map (per group assignment, per clause): the digit is the number of
-clause literals made true by the group's variables, capped at 2. A clause
-column of the combined sum hits exactly 1 iff exactly one group contributes
-a single true literal and the rest none, i.e. the clause has exactly one
-true literal overall.
+Digit map (per group assignment, per clause): the shared clause digit of
+sat.clause_digit_blocks, the number of clause literals made true by the
+group's variables, capped at 2. A clause column of the combined sum hits
+exactly 1 iff exactly one group contributes a single true literal and the
+rest none, i.e. the clause has exactly one true literal overall.
 
 Each group-g integer spells its m clause digits followed by a one-hot tag
 block (digit 1 in tag position g) in base 10; the only negative element is
@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .sat import OneInThreeSatInstance
+from .sat import Block, OneInThreeSatInstance, clause_digit_blocks
 
 Vector = tuple[int, ...]
 
@@ -40,15 +40,6 @@ def _digits_to_int(digits: tuple[int, ...]) -> int:
     return value
 
 
-def _clause_digit(clause, group_vars: frozenset[int], amap: dict[int, bool]) -> int:
-    true_count = 0
-    for lit in clause:
-        v = abs(lit)
-        if v in group_vars and amap[v] == (lit > 0):
-            true_count += 1
-    return min(true_count, 2)
-
-
 @dataclass(frozen=True)
 class KSumInstance:
     k: int
@@ -62,15 +53,6 @@ class KSumInstance:
     @property
     def n_digits(self) -> int:
         return self.m + self.k - 1
-
-    def group_of_index(self, i: int) -> int | None:
-        """Group number (0-based) of element i, None for the negative."""
-        off = 0
-        for g, size in enumerate(self.group_sizes):
-            if i < off + size:
-                return g
-            off += size
-        return None
 
 
 @dataclass(frozen=True)
@@ -88,48 +70,36 @@ class ThreeSumInstance:
         return self.m + 2
 
 
+def _pack(inst: OneInThreeSatInstance, groups: int) -> tuple[list[Block], tuple[int, ...]]:
+    """The clause-digit blocks and the integers they spell: each block's
+    integers in order (clause digits, then a one-hot tag for the block),
+    and minus the repunit last."""
+    if inst.m < 1:
+        raise ValueError("need at least one clause")
+    blocks = clause_digit_blocks(inst, groups)
+    integers = [
+        _digits_to_int(digits) * 10**groups + 10 ** (groups - 1 - g)
+        for g, (_, _, vectors) in enumerate(blocks)
+        for digits in vectors
+    ]
+    integers.append(-repunit(inst.m + groups))
+    return blocks, tuple(integers)
+
+
 def sat_to_ksum(inst: OneInThreeSatInstance, k: int) -> KSumInstance:
     """Partition variables into k-1 groups (padding with unused variables to
     a multiple of k-1) and emit the tagged digit integers.
     """
     if not 3 <= k <= 6:
         raise ValueError("supported for 3 <= k <= 6 (carries break beyond)")
-    if inst.m < 1:
-        raise ValueError("need at least one clause")
-    groups = k - 1
-    n = inst.n_vars
-    n_padded = n if n % groups == 0 else n + (groups - n % groups)
-    per = n_padded // groups
-    if per > 12:
-        raise ValueError("group enumeration capped at 12 variables per group")
-    m = inst.m
-    integers: list[int] = []
-    sizes: list[int] = []
-    gvars: list[tuple[int, ...]] = []
-    gassign: list[tuple[tuple[bool, ...], ...]] = []
-    for g in range(groups):
-        vars_g = tuple(range(g * per + 1, (g + 1) * per + 1))
-        gset = frozenset(vars_g)
-        assigns = []
-        count = 0
-        for bits in itertools.product((False, True), repeat=per):
-            amap = dict(zip(vars_g, bits))
-            digits = tuple(_clause_digit(c, gset, amap) for c in inst.clauses)
-            tags = tuple(1 if t == g else 0 for t in range(groups))
-            integers.append(_digits_to_int(digits + tags))
-            assigns.append(bits)
-            count += 1
-        sizes.append(count)
-        gvars.append(vars_g)
-        gassign.append(tuple(assigns))
-    integers.append(-repunit(m + groups))
+    blocks, integers = _pack(inst, k - 1)
     return KSumInstance(
         k=k,
-        m=m,
-        integers=tuple(integers),
-        group_sizes=tuple(sizes),
-        group_vars=tuple(gvars),
-        assignments=tuple(gassign),
+        m=inst.m,
+        integers=integers,
+        group_sizes=tuple(len(a) for _, a, _ in blocks),
+        group_vars=tuple(v for v, _, _ in blocks),
+        assignments=tuple(a for _, a, _ in blocks),
         source=inst,
     )
 
@@ -137,26 +107,16 @@ def sat_to_ksum(inst: OneInThreeSatInstance, k: int) -> KSumInstance:
 def sat_to_threesum(inst: OneInThreeSatInstance) -> ThreeSumInstance:
     """Two-group special case laid out with the A/B bookkeeping pinned by
     the external interface. Digits and integers coincide with sat_to_ksum
-    at k = 3.
+    at k = 3; the vectors are the two blocks' clause digits.
     """
-    ks = sat_to_ksum(inst, 3)
-    a_count, b_count = ks.group_sizes
-    n_digits = ks.m
-    vecs = []
-    for value in ks.integers[:-1]:
-        ds = []
-        v = value // 100  # strip the two tag digits
-        for _ in range(n_digits):
-            ds.append(v % 10)
-            v //= 10
-        vecs.append(tuple(reversed(ds)))
+    ((_, aa, va), (_, ab, vb)), integers = _pack(inst, 2)
     return ThreeSumInstance(
-        m=ks.m,
-        integers=ks.integers,
-        a_count=a_count,
-        b_count=b_count,
-        vectors_a=tuple(vecs[:a_count]),
-        vectors_b=tuple(vecs[a_count:]),
+        m=inst.m,
+        integers=integers,
+        a_count=len(aa),
+        b_count=len(ab),
+        vectors_a=va,
+        vectors_b=vb,
         source=inst,
     )
 

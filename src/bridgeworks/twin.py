@@ -81,9 +81,11 @@ def evaluate_constrained_diameter(
     Witness reporting is deterministic: cross pairs first, then T1 pairs,
     then T2 pairs; lex-min within each group. The dominant case is 1 or 2
     for a cross witness (by which bridge carries its shortest route, ties
-    to bridge 1), 3 for a T1 witness, 4 for a T2 witness.
+    to bridge 1), 3 for a T1 witness, 4 for a T2 witness. The value follows
+    BRIDGEWORKS_BACKEND as the solvers' values do.
     """
     _check_disjoint(b1, b2)
+    _resolve_mode(t1, t2)  # raises when rational is forced on inexact trees
     p1, q1 = b1
     p2, q2 = b2
     tab1 = table1 if table1 is not None else build_distance_table(t1)
@@ -138,10 +140,10 @@ def evaluate_constrained_diameter(
         via1 = D1[a][p1] + w1 + D2[q1][b]
         via2 = D1[a][p2] + w2 + D2[q2][b]
         case = 1 if via1 <= via2 else 2
-        return TwinEvaluation(value, (a, b), "cross", case)
+        return TwinEvaluation(_reported(value), (a, b), "cross", case)
     if best_t1 is not None and best_t1[0] == value:
-        return TwinEvaluation(value, (best_t1[1], best_t1[2]), "t1", 3)
-    return TwinEvaluation(value, (best_t2[1], best_t2[2]), "t2", 4)
+        return TwinEvaluation(_reported(value), (best_t1[1], best_t1[2]), "t1", 3)
+    return TwinEvaluation(_reported(value), (best_t2[1], best_t2[2]), "t2", 4)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +236,14 @@ def _finish(
     crossing = segments_properly_cross(
         t1.points[p1], t2.points[q1], t1.points[p2], t2.points[q2]
     )
-    # the evaluator runs on the exact tables even under a forced double backend
-    value = _reported(ev.value)
     return TwinBridgeSolution(
         bridge1=(p1, q1),
         bridge2=(p2, q2),
-        value=value,
+        value=ev.value,
         dominant_case=ev.dominant_case,
         witness=ev.witness,
         intersecting=crossing,
-        backend=_backend_of(value),
+        backend=_backend_of(ev.value),
     )
 
 

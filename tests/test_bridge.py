@@ -31,7 +31,13 @@ from bridgeworks.bridge import _closest_pair_scan
 from bridgeworks.geometry import single_source_tree_distances
 from bridgeworks.numerics import is_exact
 from bridgeworks.reductions import cov_to_one_bridge, random_instance, sat_to_cov
-from bridgeworks.twin import brute_force_twin, solve_cases_12, solve_cases_34, solve_twin
+from bridgeworks.twin import (
+    brute_force_twin,
+    evaluate_constrained_diameter,
+    solve_cases_12,
+    solve_cases_34,
+    solve_twin,
+)
 
 
 # ---------------------------------------------------------------- oracle
@@ -197,6 +203,7 @@ SOLVERS = {
     "twin_brute": brute_force_twin,
     "cases_12": solve_cases_12,
     "cases_34": solve_cases_34,
+    "evaluator": lambda t1, t2: evaluate_constrained_diameter(t1, t2, (0, 0), (1, 1)),
 }
 
 

@@ -7,6 +7,7 @@ exactly apart from duration_ms.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -308,6 +309,10 @@ def test_cli_gen_round_trips(tmp_path, capsys):
     assert rep["result"]["vertices"] == [4, 4]
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_cli_reduce_sat_to_onebridge(tmp_path, capsys):
     sat = tmp_path / "f.cnf"
     sat.write_text("p cnf 4 2\n1 2 3 0\n-1 2 4 0\n")
@@ -323,6 +328,12 @@ def test_cli_reduce_sat_to_onebridge(tmp_path, capsys):
     assert parse_number(params["c1"]) == 0
     assert parse_number(params["c2"]) > parse_number(params["c"]) > 0
     assert rep["instances"][0]["kind"] == "sat"
+    # the written bytes are pinned
+    assert {name: sha256_of(out / name) for name in ("t1.txt", "t2.txt", "params.json")} == {
+        "t1.txt": "9d8b9a0be94b19d8291b115c8430cbaa38386c624e83519869e7a173ef76a3e2",
+        "t2.txt": "786e216046676a37c7b814da968f18f4dc96112bff99b0bdbd8776b7d62666fd",
+        "params.json": "4c4937bb706a616d051ad4b938b85d179ce390ba04b9e103ab3dd71603d8c4e6",
+    }
 
 
 def test_cli_reduce_sat_to_3sum(tmp_path, capsys):
@@ -335,11 +346,13 @@ def test_cli_reduce_sat_to_3sum(tmp_path, capsys):
     vals = parse_integers(out.read_text())
     assert len(vals) == 2 ** (4 // 2 + 1) + 1 == rep["result"]["count"]
     assert min(vals) < 0  # the target element
+    assert sha256_of(out) == "feff4372b55e716a701839bea4c347334a047f65d7e9f799eb6b78607b187b13"
 
     code, rep = report_of(capsys, "reduce", "sat-to-3sum", "--sat", str(sat),
                           "--k", "4", "--out", str(out), "--json")
     assert code == 0 and rep["result"]["k"] == 4
     parse_integers(out.read_text())
+    assert sha256_of(out) == "ba92109a9422d1f618016effc56a069d8b2847b2d868e5cd023e9646fab4f422"
 
 
 def test_cli_reduce_vc_to_rdbp(tmp_path, capsys):

@@ -112,6 +112,18 @@ def test_threesum_strips_tags_consistently():
         for vec, assign in zip(ts.vectors_b, cov.assignments_b):
             by_var = dict(zip(cov.half_b_vars, assign))
             assert list(vec) == [oracle_clause_digit(cl, by_var) for cl in inst.clauses]
+        # so the 3-SUM vectors are the COV vectors with 0 and 1 swapped
+        for ts_vecs, cov_vecs in ((ts.vectors_a, cov.vectors_a), (ts.vectors_b, cov.vectors_b)):
+            assert ts_vecs == tuple(tuple((1, 0, 2)[d] for d in v) for v in cov_vecs)
+
+
+def test_every_sat_reduction_caps_blocks_at_12_variables():
+    inst = OneInThreeSatInstance(25, ((1, 13, -25),))
+    for reduce in (sat_to_cov, sat_to_threesum, lambda i: sat_to_ksum(i, 3)):
+        with pytest.raises(ValueError, match="capped at 12 variables per block"):
+            reduce(inst)
+    # three blocks of 9 variables stay under the cap
+    assert sat_to_ksum(inst, 4).group_sizes == (512, 512, 512)
 
 
 def test_set_size_formula_even_vars():
