@@ -11,7 +11,7 @@ are exact, and fall back to float64 with a 1e-9 relative tolerance
 otherwise. Set BRIDGEWORKS_BACKEND=rational or =double to force a side.
 """
 
-from .numerics import TOLERANCE, backend_override, is_exact, to_exact, values_equal
+from .numerics import TOLERANCE, backend_override, is_exact, values_equal
 from .geometry import (
     DistanceTable,
     PlanarGraph,
@@ -66,7 +66,6 @@ __all__ = [
     "TOLERANCE",
     "backend_override",
     "is_exact",
-    "to_exact",
     "values_equal",
     "DistanceTable",
     "PlanarGraph",

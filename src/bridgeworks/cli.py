@@ -8,7 +8,10 @@ Subcommands:
     reduce sat-to-onebridge | sat-to-3sum | vc-to-rdbp
     verify iff-onebridge | iff-3sum | iff-rdbp
 
-reduce sat-to-3sum and verify iff-3sum take --k (default 3) for k-SUM.
+reduce sat-to-3sum and verify iff-3sum take --k (default 3) for k-SUM;
+bridge exact and twin solve|brute take --emit-dot.
+The run report's result for the solver and verify commands is the returned
+dataclass: its fields under the same names, plus consistent on verify.
 Every solver follows BRIDGEWORKS_BACKEND (rational or double) as the
 library does. Scaling measurements live in the perfbench/ harness.
 
@@ -20,6 +23,7 @@ bytes are reproducible except for duration_ms.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -58,7 +62,7 @@ from .reductions import (
     verify_one_bridge_iff,
     verify_rdbp_iff,
 )
-from .twin import brute_force_twin, solve_twin
+from .twin import brute_force_twin, crossing_optimum_instance, solve_twin
 
 
 def _file_digest(path: str) -> str:
@@ -71,8 +75,27 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_tree(path: str) -> WeightedTree:
-    return parse_tree(_read(path))
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_files(out_dir: str, files: dict[str, str]) -> list[str]:
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        _write(path, text)
+    return paths
+
+
+def _json_text(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _load_tree(run: _Run, path: str) -> WeightedTree:
+    tree = parse_tree(_read(path))
+    run.add_instance(path, "tree", vertices=tree.n, edges=len(tree.edges))
+    return tree
 
 
 def _load_sat(run: _Run, path: str) -> OneInThreeSatInstance:
@@ -94,7 +117,7 @@ class _Run:
         self.args = args
         self.t0 = time.perf_counter()
         self.report = {
-            "command": [a for a in args._argv],
+            "command": list(args._argv),
             "instances": [],
             "result": {},
             "seed": None,
@@ -111,40 +134,28 @@ class _Run:
         self.report["exit_code"] = exit_code
         self.report["duration_ms"] = (time.perf_counter() - self.t0) * 1000.0
         if self.args.json:
-            print(json.dumps(self.report, sort_keys=True, indent=2))
+            sys.stdout.write(_json_text(self.report))
         else:
             for line in human_lines:
                 print(line)
         return exit_code
 
 
-def _tree_instance_meta(t: WeightedTree) -> dict:
-    return {"vertices": t.n, "edges": len(t.edges)}
+def _json_field(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return [_json_field(v) for v in value]
+    return number_to_json(value)
 
 
-def _bridge_result(sol) -> dict:
-    return {
-        "p": sol.p,
-        "q": sol.q,
-        "bridge_length": number_to_json(sol.bridge_length),
-        "value": number_to_json(sol.value),
-        "merged_diameter": number_to_json(sol.merged_diameter),
-        "witness": list(sol.witness),
-        "method": sol.method,
-        "backend": sol.backend,
-    }
-
-
-def _twin_result(sol) -> dict:
-    return {
-        "bridge1": list(sol.bridge1),
-        "bridge2": list(sol.bridge2),
-        "value": number_to_json(sol.value),
-        "dominant_case": sol.dominant_case,
-        "witness": list(sol.witness),
-        "intersecting": sol.intersecting,
-        "backend": sol.backend,
-    }
+def _result(obj) -> dict:
+    """The report result of a solver or verifier: the returned dataclass's
+    fields under their own names, plus `consistent` on verify reports."""
+    result = {f.name: _json_field(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if hasattr(obj, "consistent"):
+        result["consistent"] = obj.consistent
+    return result
 
 
 def _emit_dot(path: str, t1: WeightedTree, t2: WeightedTree, bridges):
@@ -157,8 +168,7 @@ def _emit_dot(path: str, t1: WeightedTree, t2: WeightedTree, bridges):
     for p, q in bridges:
         lines.append(f"  a{p} -- b{q} [style=dashed];")
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +177,8 @@ def _emit_dot(path: str, t1: WeightedTree, t2: WeightedTree, bridges):
 
 def _cmd_bridge(args) -> int:
     run = _Run(args)
-    t1 = _load_tree(args.t1)
-    t2 = _load_tree(args.t2)
-    run.add_instance(args.t1, "tree", **_tree_instance_meta(t1))
-    run.add_instance(args.t2, "tree", **_tree_instance_meta(t2))
+    t1 = _load_tree(run, args.t1)
+    t2 = _load_tree(run, args.t2)
     if args.mode == "decide":
         c1 = parse_number(args.c1)
         c2 = parse_number(args.c2)
@@ -178,9 +186,7 @@ def _cmd_bridge(args) -> int:
         result = {
             "c1": number_to_json(c1),
             "c2": number_to_json(c2),
-            "witness": None
-            if witness is None
-            else {"p": witness.p, "q": witness.q, "x": witness.x, "y": witness.y},
+            "witness": None if witness is None else witness._asdict(),
         }
         if witness is None:
             return run.finish(result, ["no witness"], 1)
@@ -195,59 +201,40 @@ def _cmd_bridge(args) -> int:
         sol = approx_greedy(t1, t2)
     if args.emit_dot:
         _emit_dot(args.emit_dot, t1, t2, [(sol.p, sol.q)])
-    result = _bridge_result(sol)
     human = [
         f"bridge ({sol.p}, {sol.q}) length {format_number(sol.bridge_length)}",
         f"value {format_number(sol.value)}",
         f"merged diameter {format_number(sol.merged_diameter)}",
         f"witness pair {sol.witness}",
     ]
-    return run.finish(result, human, 0)
+    return run.finish(_result(sol), human, 0)
 
 
 def _cmd_twin(args) -> int:
     run = _Run(args)
-    t1 = _load_tree(args.t1)
-    t2 = _load_tree(args.t2)
-    run.add_instance(args.t1, "tree", **_tree_instance_meta(t1))
-    run.add_instance(args.t2, "tree", **_tree_instance_meta(t2))
+    t1 = _load_tree(run, args.t1)
+    t2 = _load_tree(run, args.t2)
     if args.mode == "solve":
         sol = solve_twin(t1, t2)
     else:
         sol = brute_force_twin(t1, t2, force=args.force)
     if args.emit_dot:
         _emit_dot(args.emit_dot, t1, t2, [sol.bridge1, sol.bridge2])
-    result = _twin_result(sol)
     human = [
         f"bridges {sol.bridge1} and {sol.bridge2}",
         f"value {format_number(sol.value)}",
         f"dominant case {sol.dominant_case}, witness {sol.witness}",
         f"intersecting {str(sol.intersecting).lower()}",
     ]
-    return run.finish(result, human, 0)
+    return run.finish(_result(sol), human, 0)
 
 
 def _cmd_forest(args) -> int:
     run = _Run(args)
-    trees = []
-    for path in args.forests:
-        t = _load_tree(path)
-        run.add_instance(path, "tree", **_tree_instance_meta(t))
-        trees.append(t)
-    conn = connect_forest(trees)
-    result = {
-        "hub": conn.hub,
-        "diameter": number_to_json(conn.diameter),
-        "bridges": [list(b) for b in conn.bridges],
-    }
+    conn = connect_forest([_load_tree(run, path) for path in args.forests])
     human = [f"hub tree {conn.hub}", f"diameter {format_number(conn.diameter)}"]
     human += [f"bridge tree{i} v{u} -- tree{j} v{v}" for i, u, j, v in conn.bridges]
-    return run.finish(result, human, 0)
-
-
-def _write(path: str, content: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    return run.finish(_result(conn), human, 0)
 
 
 def _cmd_gen(args) -> int:
@@ -256,17 +243,11 @@ def _cmd_gen(args) -> int:
     if args.which == "fig2":
         t1, t2 = greedy_tightness_instance(n=args.n, eps=eps)
     else:
-        from .twin import crossing_optimum_instance
-
         t1, t2 = crossing_optimum_instance(eps=eps)
-    paths = []
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        for name, t in (("t1.txt", t1), ("t2.txt", t2)):
-            p = os.path.join(args.out_dir, name)
-            _write(p, serialize_tree(t))
-            paths.append(p)
+        paths = _write_files(args.out_dir, {"t1.txt": serialize_tree(t1), "t2.txt": serialize_tree(t2)})
     else:
+        paths = []
         sys.stdout.write(serialize_tree(t1))
         sys.stdout.write(serialize_tree(t2))
     result = {
@@ -285,26 +266,19 @@ def _cmd_reduce(args) -> int:
     if args.which == "sat-to-onebridge":
         cov = sat_to_cov(_load_sat(run, args.sat))
         t1, t2, params = cov_to_one_bridge(cov)
-        os.makedirs(args.out_dir, exist_ok=True)
-        p1 = os.path.join(args.out_dir, "t1.txt")
-        p2 = os.path.join(args.out_dir, "t2.txt")
-        pp = os.path.join(args.out_dir, "params.json")
-        _write(p1, serialize_tree(t1))
-        _write(p2, serialize_tree(t2))
         params_json = {
             "m": params.m,
             "c": format_number(params.c),
             "c1": format_number(params.c1),
             "c2": format_number(params.c2),
         }
-        _write(pp, json.dumps(params_json, sort_keys=True, indent=2) + "\n")
-        result = {
-            "written": [p1, p2, pp],
-            "params": params_json,
-            "vertices": [t1.n, t2.n],
-        }
-        return run.finish(result, [f"wrote {p}" for p in result["written"]], 0)
-    if args.which == "sat-to-3sum":
+        paths = _write_files(args.out_dir, {
+            "t1.txt": serialize_tree(t1),
+            "t2.txt": serialize_tree(t2),
+            "params.json": _json_text(params_json),
+        })
+        result = {"written": paths, "params": params_json, "vertices": [t1.n, t2.n]}
+    elif args.which == "sat-to-3sum":
         inst = sat_to_ksum(_load_sat(run, args.sat), args.k)
         text = serialize_integers(inst.integers)
         paths = []
@@ -315,75 +289,41 @@ def _cmd_reduce(args) -> int:
             sys.stdout.write(text)
         result = {"count": len(inst.integers), "written": paths,
                   "k": args.k, "digits": inst.n_digits}
-        return run.finish(result, [f"wrote {p}" for p in paths], 0)
-    # vc-to-rdbp
-    inst = vc_to_rdbp(*_load_graph(run, args.graph), args.k)
-    os.makedirs(args.out_dir, exist_ok=True)
-    pg = os.path.join(args.out_dir, "graph.txt")
-    ppr = os.path.join(args.out_dir, "pairs.txt")
-    pc = os.path.join(args.out_dir, "candidates.txt")
-    pj = os.path.join(args.out_dir, "params.json")
-    _write(pg, serialize_graph(inst.graph.points, inst.graph.edges))
-    _write(ppr, serialize_pairs(inst.pairs))
-    _write(pc, serialize_pairs(inst.candidates))
-    _write(
-        pj,
-        json.dumps(
-            {"budget": inst.budget, "epsilon": inst.epsilon},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
-    result = {
-        "written": [pg, ppr, pc, pj],
-        "vertices": len(inst.graph.points),
-        "edges": len(inst.graph.edges),
-        "pairs": len(inst.pairs),
-        "candidates": len(inst.candidates),
-        "budget": inst.budget,
-        "epsilon": inst.epsilon,
-    }
-    return run.finish(result, [f"wrote {p}" for p in result["written"]], 0)
+    else:  # vc-to-rdbp
+        inst = vc_to_rdbp(*_load_graph(run, args.graph), args.k)
+        paths = _write_files(args.out_dir, {
+            "graph.txt": serialize_graph(inst.graph.points, inst.graph.edges),
+            "pairs.txt": serialize_pairs(inst.pairs),
+            "candidates.txt": serialize_pairs(inst.candidates),
+            "params.json": _json_text({"budget": inst.budget, "epsilon": inst.epsilon}),
+        })
+        result = {
+            "written": paths,
+            "vertices": len(inst.graph.points),
+            "edges": len(inst.graph.edges),
+            "pairs": len(inst.pairs),
+            "candidates": len(inst.candidates),
+            "budget": inst.budget,
+            "epsilon": inst.epsilon,
+        }
+    return run.finish(result, [f"wrote {p}" for p in paths], 0)
 
 
 def _cmd_verify(args) -> int:
     run = _Run(args)
     if args.which == "iff-onebridge":
         rep = verify_one_bridge_iff(_load_sat(run, args.sat))
-        result = {
-            "sat": rep.sat,
-            "cov": rep.cov,
-            "bridge": rep.bridge,
-            "consistent": rep.consistent,
-        }
-        lines = [
-            f"sat {str(rep.sat).lower()} / vectors {str(rep.cov).lower()} / "
-            f"bridge {str(rep.bridge).lower()}",
-            "consistent" if rep.consistent else "INCONSISTENT",
-        ]
-        return run.finish(result, lines, 0 if rep.consistent else 1)
-    if args.which == "iff-3sum":
+        line = (f"sat {str(rep.sat).lower()} / vectors {str(rep.cov).lower()} / "
+                f"bridge {str(rep.bridge).lower()}")
+    elif args.which == "iff-3sum":
         rep = verify_ksum_iff(_load_sat(run, args.sat), args.k)
-        result = {"sat": rep.sat, "sum_hit": rep.sum_hit, "consistent": rep.consistent}
-        lines = [
-            f"sat {str(rep.sat).lower()} / sum {str(rep.sum_hit).lower()}",
-            "consistent" if rep.consistent else "INCONSISTENT",
-        ]
-        return run.finish(result, lines, 0 if rep.consistent else 1)
-    rep = verify_rdbp_iff(*_load_graph(run, args.graph))
-    result = {
-        "cover_size": rep.cover_size,
-        "budget_size": rep.budget_size,
-        "subsets_match_covers": rep.subsets_match_covers,
-        "consistent": rep.consistent,
-    }
-    lines = [
-        f"cover {rep.cover_size} / budget {rep.budget_size} / "
-        f"subsets match {str(rep.subsets_match_covers).lower()}",
-        "consistent" if rep.consistent else "INCONSISTENT",
-    ]
-    return run.finish(result, lines, 0 if rep.consistent else 1)
+        line = f"sat {str(rep.sat).lower()} / sum {str(rep.sum_hit).lower()}"
+    else:  # iff-rdbp
+        rep = verify_rdbp_iff(*_load_graph(run, args.graph))
+        line = (f"cover {rep.cover_size} / budget {rep.budget_size} / "
+                f"subsets match {str(rep.subsets_match_covers).lower()}")
+    lines = [line, "consistent" if rep.consistent else "INCONSISTENT"]
+    return run.finish(_result(rep), lines, 0 if rep.consistent else 1)
 
 
 # ---------------------------------------------------------------------------

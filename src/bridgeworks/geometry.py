@@ -140,11 +140,6 @@ class WeightedTree:
             adj[v].append((u, w))
         return tuple(tuple(a) for a in adj)
 
-    def label_of(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(i)
-
 
 def single_source_tree_distances(tree: WeightedTree, src: int) -> list[Number]:
     """Distances from src to every vertex (tree paths are unique)."""

@@ -36,15 +36,6 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, Rational)
 
 
-def to_exact(x: Number | str) -> Fraction:
-    """Coerce to Fraction. Strings accept '3', '-5/7', '2.25'."""
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10**15)
-
-
 def exact_sqrt(x: Number) -> Fraction | None:
     """Square root of a nonnegative rational if it is rational, else None.
 
@@ -67,19 +58,19 @@ def exact_sqrt(x: Number) -> Fraction | None:
     return Fraction(pn, pd)
 
 
-def values_equal(a: Number, b: Number, tol: float = TOLERANCE) -> bool:
-    """Equality: exact when both operands are exact, else relative tol."""
+def values_equal(a: Number, b: Number) -> bool:
+    """Equality: exact when both operands are exact, else relative TOLERANCE."""
     if is_exact(a) and is_exact(b):
         return a == b
     fa, fb = float(a), float(b)
     if fa == fb:
         return True
-    return abs(fa - fb) <= tol * max(1.0, abs(fa), abs(fb))
+    return abs(fa - fb) <= TOLERANCE * max(1.0, abs(fa), abs(fb))
 
 
-def definitely_less(a: Number, b: Number, tol: float = TOLERANCE) -> bool:
-    """a < b with headroom: exact < for exact pairs, tol margin otherwise."""
+def definitely_less(a: Number, b: Number) -> bool:
+    """a < b with headroom: exact < for exact pairs, TOLERANCE margin otherwise."""
     if is_exact(a) and is_exact(b):
         return a < b
     fa, fb = float(a), float(b)
-    return fa < fb - tol * max(1.0, abs(fa), abs(fb))
+    return fa < fb - TOLERANCE * max(1.0, abs(fa), abs(fb))

@@ -7,6 +7,7 @@ exactly apart from duration_ms.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -15,12 +16,22 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from bridgeworks import WeightedTree, solve_exact
+from bridgeworks import (
+    WeightedTree,
+    approx_greedy,
+    brute_force_twin,
+    connect_forest,
+    crossing_optimum_instance,
+    greedy_tightness_instance,
+    solve_exact,
+    solve_twin,
+)
 from bridgeworks.cli import main
 from bridgeworks.io import (
     ParseError,
     format_number,
     gen_random_tree,
+    number_to_json,
     parse_graph,
     parse_integers,
     parse_number,
@@ -35,7 +46,14 @@ from bridgeworks.io import (
     serialize_tree,
     serialize_tree_json,
 )
-from bridgeworks.reductions import OneInThreeSatInstance
+from bridgeworks.reductions import (
+    OneInThreeSatInstance,
+    k4_embedding,
+    vc_to_rdbp,
+    verify_ksum_iff,
+    verify_one_bridge_iff,
+    verify_rdbp_iff,
+)
 
 
 def geometric_tree():
@@ -307,6 +325,11 @@ def test_cli_gen_round_trips(tmp_path, capsys):
     for p in rep["result"]["written"]:
         parse_tree(open(p).read())
     assert rep["result"]["vertices"] == [4, 4]
+    # the written bytes are the library instances, serialized
+    for out, (t1, t2) in ((out2, greedy_tightness_instance(n=5, eps=Fraction(1, 100))),
+                          (out3, crossing_optimum_instance(eps=Fraction(1, 100)))):
+        assert (out / "t1.txt").read_text() == serialize_tree(t1)
+        assert (out / "t2.txt").read_text() == serialize_tree(t2)
 
 
 def sha256_of(path) -> str:
@@ -356,8 +379,6 @@ def test_cli_reduce_sat_to_3sum(tmp_path, capsys):
 
 
 def test_cli_reduce_vc_to_rdbp(tmp_path, capsys):
-    from bridgeworks.reductions import k4_embedding
-
     pts, edges = k4_embedding()
     g = tmp_path / "k4.txt"
     g.write_text(serialize_graph(pts, edges))
@@ -370,6 +391,14 @@ def test_cli_reduce_vc_to_rdbp(tmp_path, capsys):
     assert len(parse_pairs((out / "pairs.txt").read_text())) == len(edges)
     assert len(parse_pairs((out / "candidates.txt").read_text())) == 4
     assert json.loads((out / "params.json").read_text())["budget"] == 3
+    # the written bytes are the library instance, serialized (the gadget
+    # coordinates come from trig, so no digest is pinned)
+    inst = vc_to_rdbp(pts, edges, 3)
+    assert (out / "graph.txt").read_text() == serialize_graph(inst.graph.points, inst.graph.edges)
+    assert (out / "pairs.txt").read_text() == serialize_pairs(inst.pairs)
+    assert (out / "candidates.txt").read_text() == serialize_pairs(inst.candidates)
+    assert (out / "params.json").read_text() == json.dumps(
+        {"budget": inst.budget, "epsilon": inst.epsilon}, sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_verify_commands(tmp_path, capsys):
@@ -381,8 +410,6 @@ def test_cli_verify_commands(tmp_path, capsys):
 
     code, rep = report_of(capsys, "verify", "iff-3sum", "--sat", str(sat), "--json")
     assert code == 0 and rep["result"]["consistent"]
-
-    from bridgeworks.reductions import k4_embedding
 
     pts, edges = k4_embedding()
     g = tmp_path / "k4.txt"
@@ -439,3 +466,57 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     code = main(["bridge", "exact", str(bad), str(good)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Collinear exact trees: every distance is rational and the optimum values
+# (11/4 for the bridges, 35/12 for the forest) are not integers.
+FRACTION_PAIR = (
+    WeightedTree([(0, 0), (Fraction(1, 3), 0), (Fraction(5, 6), 0)], [(0, 1), (1, 2)]),
+    WeightedTree([(2, 0), (Fraction(7, 3), 0), (Fraction(11, 4), 0)], [(0, 1), (1, 2)]),
+)
+CONTRACT_SAT = OneInThreeSatInstance(3, ((1, 2, 3),))
+
+# subcommand -> (argv after the subcommand, library call it reports)
+RESULT_CONTRACT = {
+    "bridge exact": (["t1", "t2"], lambda: solve_exact(*FRACTION_PAIR)),
+    "bridge approx": (["t1", "t2"], lambda: approx_greedy(*FRACTION_PAIR)),
+    "twin solve": (["t1", "t2"], lambda: solve_twin(*FRACTION_PAIR)),
+    "twin brute": (["t1", "t2"], lambda: brute_force_twin(*FRACTION_PAIR)),
+    "forest connect": (["t1", "t2"], lambda: connect_forest(FRACTION_PAIR)),
+    "verify iff-onebridge": (["--sat", "sat"], lambda: verify_one_bridge_iff(CONTRACT_SAT)),
+    "verify iff-3sum": (["--sat", "sat"], lambda: verify_ksum_iff(CONTRACT_SAT, 3)),
+    "verify iff-rdbp": (["--graph", "graph"], lambda: verify_rdbp_iff(*k4_embedding())),
+}
+
+
+def encode_field(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return [encode_field(v) for v in value]
+    return number_to_json(value)
+
+
+@pytest.mark.parametrize("command", sorted(RESULT_CONTRACT))
+def test_cli_result_is_the_returned_dataclass(command, tmp_path, capsys):
+    t1, t2 = FRACTION_PAIR
+    inputs = {
+        "t1": write_tree(tmp_path, "t1.txt", t1),
+        "t2": write_tree(tmp_path, "t2.txt", t2),
+        "sat": str(tmp_path / "f.cnf"),
+        "graph": str(tmp_path / "k4.txt"),
+    }
+    (tmp_path / "f.cnf").write_text(serialize_sat(CONTRACT_SAT))
+    (tmp_path / "k4.txt").write_text(serialize_graph(*k4_embedding()))
+    args, call = RESULT_CONTRACT[command]
+    code, rep = report_of(capsys, *command.split(), *[inputs.get(a, a) for a in args], "--json")
+    assert code == 0
+    obj = call()
+    want = {f.name: encode_field(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if command.startswith("verify"):
+        want["consistent"] = obj.consistent
+    assert rep["result"] == want
+    if not command.startswith("verify"):
+        # exact non-integral values print in their "p/q" form
+        value = rep["result"]["diameter" if command == "forest connect" else "value"]
+        assert value == format_number(Fraction(value)) and "/" in value

@@ -1,6 +1,7 @@
 """The repository's scripts keep running against the library: every site
-the benchmark's span tracer patches (`perfbench/run.py --trace 1`) names a
-library callable, and every demo script exits 0."""
+the benchmark's span tracer patches (`perfbench/run.py --trace 1`) and every
+console script in pyproject.toml names a library callable, and every demo
+script exits 0."""
 
 from __future__ import annotations
 
@@ -28,6 +29,16 @@ def test_tracing_sites_name_library_callables():
     assert sites
     for module, attr, span in sites:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr, span)
+
+
+def test_project_scripts_name_library_callables():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), (name, target)
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
