@@ -53,10 +53,8 @@ from .io import (
     parse_graph,
     parse_sat,
     parse_tree,
-    parse_tree_json,
     serialize_sat,
     serialize_tree,
-    serialize_tree_json,
 )
 from . import reductions
 
@@ -101,10 +99,8 @@ __all__ = [
     "parse_graph",
     "parse_sat",
     "parse_tree",
-    "parse_tree_json",
     "serialize_sat",
     "serialize_tree",
-    "serialize_tree_json",
     "reductions",
     "__version__",
 ]

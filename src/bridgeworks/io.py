@@ -1,4 +1,4 @@
-"""Text and JSON formats for trees, graphs, SAT instances, and integer sets.
+"""Text formats for trees, graphs, SAT instances, and integer sets.
 
 Tree text format:
     n m            <- vertex and edge counts (m = n-1)
@@ -15,13 +15,12 @@ literals and a terminating 0 per clause line; 'c' lines are comments.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
 
 from .geometry import WeightedTree
-from .numerics import Number, is_exact
+from .numerics import Number
 from .reductions.sat import OneInThreeSatInstance
 
 
@@ -207,7 +206,7 @@ def serialize_pairs(pairs) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON mirror
+# Report numbers
 
 
 def number_to_json(x: Number):
@@ -216,65 +215,6 @@ def number_to_json(x: Number):
     if isinstance(x, Fraction):
         return format_number(x)
     return float(x)
-
-
-def _number_from_json(v) -> Number:
-    if isinstance(v, bool):
-        raise ParseError("bool is not a number")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return v
-    if isinstance(v, str):
-        return parse_number(v)
-    raise ParseError(f"bad JSON number {v!r}")
-
-
-def tree_to_json_dict(tree: WeightedTree) -> dict:
-    d = {
-        "n": tree.n,
-        "points": [[number_to_json(x), number_to_json(y)] for x, y in tree.points],
-        "explicit_weights": tree.explicit_weights,
-    }
-    if tree.explicit_weights:
-        d["edges"] = [[u, v, number_to_json(w)] for u, v, w in tree.edges]
-    else:
-        d["edges"] = [[u, v] for u, v, _ in tree.edges]
-    if tree.labels is not None:
-        d["labels"] = list(tree.labels)
-    return d
-
-
-def tree_from_json_dict(d: dict) -> WeightedTree:
-    try:
-        points = [(_number_from_json(x), _number_from_json(y)) for x, y in d["points"]]
-        raw_edges = d["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed tree JSON: {exc}") from exc
-    explicit = bool(d.get("explicit_weights", any(len(e) == 3 for e in raw_edges)))
-    edges = []
-    for e in raw_edges:
-        if len(e) == 3:
-            edges.append((int(e[0]), int(e[1]), _number_from_json(e[2])))
-        else:
-            edges.append((int(e[0]), int(e[1])))
-    labels = tuple(d["labels"]) if "labels" in d else None
-    try:
-        return WeightedTree(points, edges, labels=labels, explicit_weights=explicit)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def serialize_tree_json(tree: WeightedTree) -> str:
-    return json.dumps(tree_to_json_dict(tree), indent=2) + "\n"
-
-
-def parse_tree_json(text: str) -> WeightedTree:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    return tree_from_json_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ pairs; we minimize it over bridge pairs (p1,q1), (p2,q2) with p1 != p2,
 q1 != q2, tie-breaking lexicographically on (p1, q1, p2, q2) with the
 convention p1 < p2.
 
-All shortest paths in T'' factor through the four bridge endpoints, so the
-evaluator uses closed-form expressions over the two tree distance tables.
-The searches score candidates with the same expressions on numpy arrays:
-float64 for inexact input, integers scaled by one common denominator for
-exact input.
+All shortest paths in T'' factor through the four bridge endpoints, so one
+term function, `_terms`, gives every pair's distance in closed form over
+the two tree distance tables, held as numpy arrays: float64 for inexact
+input, integers scaled by one common denominator for exact input. The
+searches score candidates by its maximum; the evaluator reports its
+argmax, with the value recomputed from the tables at that pair.
 """
 
 from __future__ import annotations
@@ -60,11 +61,19 @@ class TwinBridgeSolution:
         return (*self.bridge1, *self.bridge2)
 
 
-def _check_disjoint(b1, b2):
-    p1, q1 = b1
-    p2, q2 = b2
-    if p1 == p2 or q1 == q2:
+def _check_bridges(t1: WeightedTree, t2: WeightedTree, b1, b2):
+    for p, q in (b1, b2):
+        if not (0 <= p < t1.n and 0 <= q < t2.n):
+            raise ValueError(
+                f"bridge {(p, q)} needs 0 <= p < {t1.n} and 0 <= q < {t2.n}"
+            )
+    if b1[0] == b2[0] or b1[1] == b2[1]:
         raise ValueError(f"bridges must be vertex-disjoint, got {b1} and {b2}")
+
+
+def _detour(D, a, b, u, v, thr):
+    """In-tree pair (a, b) routed out at u or v and back in at the other."""
+    return min(D[a][u] + thr + D[v][b], D[a][v] + thr + D[u][b])
 
 
 def evaluate_constrained_diameter(
@@ -73,8 +82,7 @@ def evaluate_constrained_diameter(
     b1: tuple[int, int],
     b2: tuple[int, int],
     *,
-    table1: DistanceTable | None = None,
-    table2: DistanceTable | None = None,
+    _ctx=None,
 ) -> TwinEvaluation:
     """Constrained diameter of T1 u T2 u {b1, b2} with its witness pair.
 
@@ -84,66 +92,32 @@ def evaluate_constrained_diameter(
     to bridge 1), 3 for a T1 witness, 4 for a T2 witness. The value follows
     BRIDGEWORKS_BACKEND as the solvers' values do.
     """
-    _check_disjoint(b1, b2)
-    _resolve_mode(t1, t2)  # raises when rational is forced on inexact trees
-    p1, q1 = b1
-    p2, q2 = b2
-    tab1 = table1 if table1 is not None else build_distance_table(t1)
-    tab2 = table2 if table2 is not None else build_distance_table(t2)
+    _check_bridges(t1, t2, b1, b2)
+    tab1, tab2, arr = _ctx if _ctx is not None else _context(t1, t2)
+    (p1, q1), (p2, q2) = b1, b2
+    cross, in1, in2 = (x[0] for x in _terms(arr, [p1], [q1], [p2], [q2]))
+    a, b = divmod(int(cross.argmax()), t2.n)
+    kind, top = "cross", cross[a, b]
+    for name, terms, (rows, cols) in (("t1", in1, arr.upper1), ("t2", in2, arr.upper2)):
+        vals = terms[rows, cols]
+        i = int(vals.argmax())
+        if vals[i] > top:
+            kind, top, a, b = name, vals[i], int(rows[i]), int(cols[i])
+
+    # the value again, from the tables at the witness: exact values keep
+    # their type (5 vs Fraction(5))
     D1, D2 = tab1.dist, tab2.dist
     w1 = euclidean_distance(t1.points[p1], t2.points[q1])
     w2 = euclidean_distance(t1.points[p2], t2.points[q2])
-    n1, n2 = t1.n, t2.n
-
-    best_cross = None
-    for a in range(n1):
-        base1 = D1[a][p1] + w1
-        base2 = D1[a][p2] + w2
-        row1, row2 = D2[q1], D2[q2]
-        for b in range(n2):
-            d = min(base1 + row1[b], base2 + row2[b])
-            if best_cross is None or d > best_cross[0]:
-                best_cross = (d, a, b)
-
-    thr = w1 + D2[q1][q2] + w2
-    best_t1 = None
-    for a in range(n1):
-        ra1 = D1[a][p1] + thr
-        ra2 = D1[a][p2] + thr
-        row = D1[a]
-        for b in range(a + 1, n1):
-            alt = min(ra1 + D1[p2][b], ra2 + D1[p1][b])
-            if alt < row[b]:
-                if best_t1 is None or alt > best_t1[0]:
-                    best_t1 = (alt, a, b)
-
-    thr2 = w1 + D1[p1][p2] + w2
-    best_t2 = None
-    for a in range(n2):
-        ra1 = D2[a][q1] + thr2
-        ra2 = D2[a][q2] + thr2
-        row = D2[a]
-        for b in range(a + 1, n2):
-            alt = min(ra1 + D2[q2][b], ra2 + D2[q1][b])
-            if alt < row[b]:
-                if best_t2 is None or alt > best_t2[0]:
-                    best_t2 = (alt, a, b)
-
-    value = best_cross[0]
-    if best_t1 is not None and best_t1[0] > value:
-        value = best_t1[0]
-    if best_t2 is not None and best_t2[0] > value:
-        value = best_t2[0]
-
-    if best_cross[0] == value:
-        _, a, b = best_cross
+    if kind == "cross":
         via1 = D1[a][p1] + w1 + D2[q1][b]
         via2 = D1[a][p2] + w2 + D2[q2][b]
-        case = 1 if via1 <= via2 else 2
-        return TwinEvaluation(_reported(value), (a, b), "cross", case)
-    if best_t1 is not None and best_t1[0] == value:
-        return TwinEvaluation(_reported(value), (best_t1[1], best_t1[2]), "t1", 3)
-    return TwinEvaluation(_reported(value), (best_t2[1], best_t2[2]), "t2", 4)
+        return TwinEvaluation(_reported(min(via1, via2)), (a, b), kind, 1 if via1 <= via2 else 2)
+    if kind == "t1":
+        value = _detour(D1, a, b, p1, p2, w1 + D2[q1][q2] + w2)
+        return TwinEvaluation(_reported(value), (a, b), kind, 3)
+    value = _detour(D2, a, b, q1, q2, w1 + D1[p1][p2] + w2)
+    return TwinEvaluation(_reported(value), (a, b), kind, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +134,8 @@ class _Arrays:
     while the scaled magnitudes stay below 2**40 (so sums of four terms
     cannot overflow), an object array of Python ints past that. Scaled
     integers order exactly as the exact values do; v stands for
-    Fraction(v, scale). `scale` is None on float64.
+    Fraction(v, scale). `scale` is None on float64. upper1 and upper2 index
+    the vertex pairs a < b of each tree, row by row.
     """
 
     def __init__(self, t1: WeightedTree, t2: WeightedTree,
@@ -185,30 +160,37 @@ class _Arrays:
             np.array([[lift(x) for x in row] for row in m], dtype=dtype)
             for m in tables
         )
+        self.upper1 = np.triu_indices(t1.n, 1)
+        self.upper2 = np.triu_indices(t2.n, 1)
+
+
+def _detours(D, Ru, Rv, thr, neg):
+    """[k, a, b]: in-tree pair (a, b) routed out at u or v and back in at the
+    other, neg where that does not beat the in-tree route; Ru, Rv are the
+    table rows of u and v (the tables are symmetric)."""
+    alt = np.minimum(Ru[:, :, None] + thr[:, None, None] + Rv[:, None, :],
+                     Rv[:, :, None] + thr[:, None, None] + Ru[:, None, :])
+    return np.where(alt < D[None, :, :], alt, neg)
+
+
+def _terms(arr: _Arrays, P1, Q1, P2, Q2):
+    """The three groups of pair distances in T'' for a batch of candidate
+    bridge pairs: cross[k, a, b] for a in T1 and b in T2, then the T1 and
+    the T2 detours of _detours."""
+    D1, D2 = arr.D1, arr.D2
+    w1, w2 = arr.W[P1, Q1], arr.W[P2, Q2]
+    R1, R2, S1, S2 = D1[P1], D1[P2], D2[Q1], D2[Q2]
+    cross = np.minimum(R1[:, :, None] + w1[:, None, None] + S1[:, None, :],
+                       R2[:, :, None] + w2[:, None, None] + S2[:, None, :])
+    t1 = _detours(D1, R1, R2, w1 + D2[Q1, Q2] + w2, arr.neg)
+    t2 = _detours(D2, S1, S2, w1 + D1[P1, P2] + w2, arr.neg)
+    return cross, t1, t2
 
 
 def _batched_values(arr: _Arrays, P1, Q1, P2, Q2) -> np.ndarray:
     """Constrained-diameter values for a batch of candidate bridge pairs."""
-    D1, D2, W = arr.D1, arr.D2, arr.W
-    w1 = W[P1, Q1]
-    w2 = W[P2, Q2]
-    c1 = D1[:, P1].T[:, :, None] + w1[:, None, None] + D2[Q1, :][:, None, :]
-    c2 = D1[:, P2].T[:, :, None] + w2[:, None, None] + D2[Q2, :][:, None, :]
-    val = np.minimum(c1, c2).max(axis=(1, 2))
-
-    thr = w1 + D2[Q1, Q2] + w2
-    a1 = D1[:, P1].T[:, :, None] + thr[:, None, None] + D1[P2, :][:, None, :]
-    a2 = D1[:, P2].T[:, :, None] + thr[:, None, None] + D1[P1, :][:, None, :]
-    alt = np.minimum(a1, a2)
-    t1v = np.where(alt < D1[None, :, :], alt, arr.neg).max(axis=(1, 2))
-
-    thr2 = w1 + D1[P1, P2] + w2
-    a1 = D2[:, Q1].T[:, :, None] + thr2[:, None, None] + D2[Q2, :][:, None, :]
-    a2 = D2[:, Q2].T[:, :, None] + thr2[:, None, None] + D2[Q1, :][:, None, :]
-    alt = np.minimum(a1, a2)
-    t2v = np.where(alt < D2[None, :, :], alt, arr.neg).max(axis=(1, 2))
-
-    return np.maximum(val, np.maximum(t1v, t2v))
+    cross, t1, t2 = (x.max(axis=(1, 2)) for x in _terms(arr, P1, Q1, P2, Q2))
+    return np.maximum(cross, np.maximum(t1, t2))
 
 
 def _lexmin(arr: _Arrays, cands, best=None):
@@ -226,13 +208,9 @@ def _normalize(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[int, int, int,
     return (*b2, *b1)
 
 
-def _finish(
-    t1, t2, tab1, tab2, cand: tuple[int, int, int, int]
-) -> TwinBridgeSolution:
+def _finish(t1, t2, ctx, cand: tuple[int, int, int, int]) -> TwinBridgeSolution:
     p1, q1, p2, q2 = cand
-    ev = evaluate_constrained_diameter(
-        t1, t2, (p1, q1), (p2, q2), table1=tab1, table2=tab2
-    )
+    ev = evaluate_constrained_diameter(t1, t2, (p1, q1), (p2, q2), _ctx=ctx)
     crossing = segments_properly_cross(
         t1.points[p1], t2.points[q1], t1.points[p2], t2.points[q2]
     )
@@ -298,7 +276,8 @@ def solve_cases_12(
     constrained-diameter expressions before comparison.
     """
     _require_sizes(t1, t2)
-    tab1, tab2, arr = _ctx if _ctx is not None else _context(t1, t2)
+    ctx = _ctx if _ctx is not None else _context(t1, t2)
+    arr = ctx[2]
     idx1 = np.arange(t1.n)
     idx2 = np.arange(t2.n)
     best = None
@@ -316,7 +295,7 @@ def solve_cases_12(
                 for flip in (0, 1)
             ]
             best = _lexmin(arr, cands, best)
-    return _finish(t1, t2, tab1, tab2, best[1:])
+    return _finish(t1, t2, ctx, best[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +365,8 @@ def solve_cases_34(
     g-argmax is re-scored with the full constrained-diameter expressions.
     """
     _require_sizes(t1, t2)
-    tab1, tab2, arr = _ctx if _ctx is not None else _context(t1, t2)
+    ctx = _ctx if _ctx is not None else _context(t1, t2)
+    tab1, tab2, arr = ctx
     x, z = tab1.diameter_pair
     path1 = path_vertices(t1, x, z)
     x2, z2 = tab2.diameter_pair
@@ -399,7 +379,7 @@ def solve_cases_34(
         cands.append(_normalize((p1, q1), (p2, q2)))
     if not cands:
         raise ValueError("degenerate trees: no diameter path of length >= 2")
-    return _finish(t1, t2, tab1, tab2, _lexmin(arr, cands)[1:])
+    return _finish(t1, t2, ctx, _lexmin(arr, cands)[1:])
 
 
 def _context(t1: WeightedTree, t2: WeightedTree):
@@ -439,7 +419,8 @@ def brute_force_twin(
     n1, n2 = t1.n, t2.n
     if n1 * n2 > 400 and not force:
         raise ValueError(f"instance too large for brute force ({n1}*{n2} > 400); pass force=True")
-    tab1, tab2, arr = _context(t1, t2)
+    ctx = _context(t1, t2)
+    arr = ctx[2]
     cands = [
         (p1, q1, p2, q2)
         for p1 in range(n1)
@@ -453,7 +434,7 @@ def brute_force_twin(
     best = None
     for s in range(0, len(cands), step):
         best = _lexmin(arr, cands[s:s + step], best)
-    sol = _finish(t1, t2, tab1, tab2, best[1:])
+    sol = _finish(t1, t2, ctx, best[1:])
     if arr.scale is None:
         assert math.isclose(float(best[0]), float(sol.value), rel_tol=1e-12, abs_tol=1e-12)
     else:

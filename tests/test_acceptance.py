@@ -186,14 +186,18 @@ def test_c05_sat_vectors_bridge_three_way_equivalence():
     t0 = time.perf_counter()
     corpus = sat_corpus()
     sat_count = 0
+    checked_m = set()
     for inst in corpus:
         rep = verify_one_bridge_iff(inst)
         assert rep.consistent, f"iff broke on {inst}"
         assert rep.sat == rep.cov == rep.bridge
         sat_count += rep.sat
-        _, _, params = cov_to_one_bridge(sat_to_cov(inst))
-        assert params.c1 == 0
-        assert params.c2 == params.c + 2
+        # the reduction's thresholds depend only on the clause count m
+        if inst.m not in checked_m:
+            checked_m.add(inst.m)
+            _, _, params = cov_to_one_bridge(sat_to_cov(inst))
+            assert params.c1 == 0
+            assert params.c2 == params.c + 2
     dt = time.perf_counter() - t0
     assert len(corpus) == 6544 + 200
     assert dt < 120.0

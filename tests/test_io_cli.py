@@ -38,13 +38,11 @@ from bridgeworks.io import (
     parse_pairs,
     parse_sat,
     parse_tree,
-    parse_tree_json,
     serialize_graph,
     serialize_integers,
     serialize_pairs,
     serialize_sat,
     serialize_tree,
-    serialize_tree_json,
 )
 from bridgeworks.reductions import (
     OneInThreeSatInstance,
@@ -140,23 +138,6 @@ def test_tree_parse_errors_point_at_the_bad_number(text, line, column):
         parse_tree(text)
     assert (ei.value.line, ei.value.column) == (line, column)
     assert f"(line {line}, column {column})" in str(ei.value)
-
-
-def test_tree_json_round_trip():
-    labeled = WeightedTree(
-        [(0, 0), (1, 0)], [(0, 1)], labels=("root", "tip")
-    )
-    for t in (geometric_tree(), explicit_tree(), labeled):
-        text = serialize_tree_json(t)
-        back = parse_tree_json(text)
-        assert serialize_tree_json(back) == text
-        assert back.points == t.points
-        assert back.edges == t.edges
-        assert back.labels == t.labels
-    # exact coordinates survive as strings, not floats
-    assert '"1/2"' in serialize_tree_json(geometric_tree())
-    with pytest.raises(ParseError):
-        parse_tree_json("{not json")
 
 
 # ------------------------------------------------------- graphs, pairs, sat

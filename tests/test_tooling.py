@@ -1,7 +1,7 @@
 """The repository's scripts keep running against the library: every site
 the benchmark's span tracer patches (`perfbench/run.py --trace 1`) and every
-console script in pyproject.toml names a library callable, and every demo
-script exits 0."""
+console script in pyproject.toml names a library callable, every exported
+name resolves, and every demo script exits 0."""
 
 from __future__ import annotations
 
@@ -39,6 +39,14 @@ def test_project_scripts_name_library_callables():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr, None)), (name, target)
+
+
+@pytest.mark.parametrize("package", ["bridgeworks", "bridgeworks.reductions"])
+def test_exported_names_resolve(package):
+    mod = importlib.import_module(package)
+    assert mod.__all__
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, (package, missing)
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -1,9 +1,10 @@
 """Twin-bridge evaluator and solver tests.
 
 The reference evaluator here builds the merged graph (both trees plus the
-two bridges) and runs all-sources Dijkstra, applying the same pair
-qualification rule: cross pairs always count, same-tree pairs count only
-when the route using bridges is strictly shorter than the in-tree route.
+two bridges) and runs all-sources Dijkstra in the input's own arithmetic,
+applying the same pair qualification rule: cross pairs always count,
+same-tree pairs count only when the route using bridges is strictly
+shorter than the in-tree route.
 """
 
 from __future__ import annotations
@@ -31,56 +32,55 @@ from bridgeworks import (
     solve_cases_34,
     solve_twin,
 )
-from bridgeworks.twin import _G_CHUNK, _Arrays, _batched_values, _g_argmax
+from bridgeworks.twin import _G_CHUNK, _Arrays, _batched_values, _context, _g_argmax
 
 
 # ---------------------------------------------------------------- reference
 
-def reference_constrained_diameter(t1, t2, b1, b2):
-    """Float merged-graph evaluation, independent of the library's tables."""
-    n1, n2 = t1.n, t2.n
-    total = n1 + n2
-    adj = [[] for _ in range(total)]
-    for (u, v, w) in t1.edges:
-        adj[u].append((v, float(w)))
-        adj[v].append((u, float(w)))
-    for (u, v, w) in t2.edges:
-        adj[n1 + u].append((n1 + v, float(w)))
-        adj[n1 + v].append((n1 + u, float(w)))
-    for (p, q) in (b1, b2):
-        w = float(euclidean_distance(t1.points[p], t2.points[q]))
-        adj[p].append((n1 + q, w))
-        adj[n1 + q].append((p, w))
+def all_sources_dijkstra(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     dist = []
-    for s in range(total):
-        d = [math.inf] * total
-        d[s] = 0.0
-        heap = [(0.0, s)]
+    for s in range(n):
+        d = [None] * n
+        d[s] = 0
+        heap = [(0, s)]
         while heap:
             dd, u = heapq.heappop(heap)
             if dd > d[u]:
                 continue
             for v, w in adj[u]:
-                if dd + w < d[v]:
+                if d[v] is None or dd + w < d[v]:
                     d[v] = dd + w
                     heapq.heappush(heap, (dd + w, v))
         dist.append(d)
+    return dist
 
-    tree1 = build_distance_table(t1)
-    tree2 = build_distance_table(t2)
-    best = -math.inf
-    for a in range(n1):
-        for b in range(n2):
-            best = max(best, dist[a][n1 + b])
-    for a in range(n1):
-        for b in range(a + 1, n1):
-            if dist[a][b] < float(tree1.dist[a][b]) - 1e-12:
-                best = max(best, dist[a][b])
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            if dist[n1 + a][n1 + b] < float(tree2.dist[a][b]) - 1e-12:
-                best = max(best, dist[n1 + a][n1 + b])
-    return best
+
+def reference_constrained_diameter(t1, t2, b1, b2):
+    """(value, witness, kind) from the merged graph, independent of the
+    library's tables: the max over qualifying pairs, its witness the first
+    group holding that max (cross, then T1, then T2), lex-min within it."""
+    n1, n2 = t1.n, t2.n
+    bridges = [(p, n1 + q, euclidean_distance(t1.points[p], t2.points[q])) for p, q in (b1, b2)]
+    t2_edges = [(n1 + u, n1 + v, w) for u, v, w in t2.edges]
+    merged = all_sources_dijkstra(n1 + n2, [*t1.edges, *t2_edges, *bridges])
+    in1 = all_sources_dijkstra(n1, t1.edges)
+    in2 = all_sources_dijkstra(n2, t2.edges)
+    groups = (
+        ("cross", [((a, b), merged[a][n1 + b]) for a in range(n1) for b in range(n2)]),
+        ("t1", [((a, b), merged[a][b]) for a in range(n1) for b in range(a + 1, n1)
+                if merged[a][b] < in1[a][b]]),
+        ("t2", [((a, b), merged[n1 + a][n1 + b]) for a in range(n2) for b in range(a + 1, n2)
+                if merged[n1 + a][n1 + b] < in2[a][b]]),
+    )
+    value = max(d for _, pairs in groups for _, d in pairs)
+    for kind, pairs in groups:
+        for pair, d in pairs:
+            if d == value:
+                return value, pair, kind
 
 
 def float_pair(seed, n_max=7):
@@ -155,6 +155,15 @@ def mixed_pair(seed):
     return mk(rng.randint(3, 7), 0), mk(rng.randint(3, 7), 100)
 
 
+def tied_groups_pair():
+    """With bridges (0,0) and (1,1) the T1 pair (0,1) detours at 3 + 1 + 3 = 7,
+    below its in-tree 10, and the cross pair (1,2) is 3 + 1 + 3 = 7 too:
+    the cross group must win the tie. Every cross distance is exact."""
+    t1 = WeightedTree([(0, 0), (0, 4)], [(0, 1, 10)], explicit_weights=True)
+    t2 = WeightedTree([(3, 0), (3, 4), (-3, 0)], [(0, 1, 1), (0, 2, 3)], explicit_weights=True)
+    return t1, t2
+
+
 def twin_arrays(t1, t2):
     return _Arrays(t1, t2, build_distance_table(t1), build_distance_table(t2))
 
@@ -177,8 +186,43 @@ def test_evaluator_matches_merged_graph_reference():
         pairs = list(all_disjoint_pairs(t1.n, t2.n))
         for b1, b2 in rng.sample(pairs, min(12, len(pairs))):
             ev = evaluate_constrained_diameter(t1, t2, b1, b2)
-            want = reference_constrained_diameter(t1, t2, b1, b2)
+            want = float(reference_constrained_diameter(t1, t2, b1, b2)[0])
             assert math.isclose(float(ev.value), want, rel_tol=1e-9), (seed, b1, b2)
+
+
+def test_evaluator_matches_reference_value_and_witness():
+    instances = [rational_pair(seed, explicit=seed % 2 == 0) for seed in range(10)]
+    instances += [fractional_pair(seed, explicit=seed % 2 == 0) for seed in range(8)]
+    instances += [big_denominator_pair(seed) for seed in range(4)]
+    instances += [mixed_pair(seed) for seed in range(8)]
+    instances += [crossing_optimum_instance(eps) for eps in (Fraction(1, 10), Fraction(1, 1000))]
+    t1, t2 = tied_groups_pair()
+    instances += [(t1, t2), (t2, t1)]
+    rng = random.Random(11)
+    for t1, t2 in instances:
+        pairs = list(all_disjoint_pairs(t1.n, t2.n))
+        ctx = _context(t1, t2)
+        for b1, b2 in rng.sample(pairs, min(10, len(pairs))):
+            ev = evaluate_constrained_diameter(t1, t2, b1, b2, _ctx=ctx)
+            value, witness, kind = reference_constrained_diameter(t1, t2, b1, b2)
+            assert (ev.witness, ev.witness_kind) == (witness, kind), (b1, b2)
+            if ctx[2].scale is None:
+                assert math.isclose(ev.value, value, rel_tol=1e-12), (b1, b2)
+            else:
+                assert ev.value == value, (b1, b2)
+
+
+@pytest.mark.parametrize("b1,b2,message", [
+    ((-1, 0), (2, 1), r"bridge \(-1, 0\)"),   # -1 would attach vertex 2, as (2, 1) does
+    ((5, 0), (1, 1), r"bridge \(5, 0\)"),
+    ((0, 0), (1, -1), r"bridge \(1, -1\)"),
+    ((0, 0), (0, 1), "vertex-disjoint"),
+])
+def test_evaluator_rejects_bad_bridges(b1, b2, message):
+    t1 = WeightedTree([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)])
+    t2 = WeightedTree([(10, 0), (11, 0)], [(0, 1)])
+    with pytest.raises(ValueError, match=message):
+        evaluate_constrained_diameter(t1, t2, b1, b2)
 
 
 def test_evaluator_witness_realizes_value():
@@ -252,10 +296,10 @@ def test_brute_force_is_true_min_over_all_pairs():
     exact += [big_denominator_pair(seed) for seed in range(4)]
     for t1, t2 in exact:
         sol = brute_force_twin(t1, t2)
-        tabs = dict(table1=build_distance_table(t1), table2=build_distance_table(t2))
+        ctx = _context(t1, t2)
         best = None
         for b1, b2 in all_disjoint_pairs(t1.n, t2.n):
-            v = evaluate_constrained_diameter(t1, t2, b1, b2, **tabs).value
+            v = evaluate_constrained_diameter(t1, t2, b1, b2, _ctx=ctx).value
             key = (v, b1[0], b1[1], b2[0], b2[1])
             if best is None or key < best:
                 best = key
