@@ -138,29 +138,52 @@ def _scan_exact(t1, t2, e1, e2):
 
 
 def _scan_double(t1, t2, ecc1, ecc2, threads):
-    x1 = np.array([[float(p.x), float(p.y)] for p in t1.points])
-    x2 = np.array([[float(p.x), float(p.y)] for p in t2.points])
+    x1, y1 = _float_xy(t1.points)
+    x2, y2 = _float_xy(t2.points)
     e1 = np.array([float(e) for e in ecc1])
     e2 = np.array([float(e) for e in ecc2])
 
-    def chunk_min(lo: int, hi: int):
-        dx = x1[lo:hi, 0:1] - x2[None, :, 0].reshape(1, -1)
-        dy = x1[lo:hi, 1:2] - x2[None, :, 1].reshape(1, -1)
-        vals = e1[lo:hi, None] + np.hypot(dx, dy) + e2[None, :]
-        flat = int(np.argmin(vals))            # first occurrence = lex-min
-        r, c = divmod(flat, vals.shape[1])
+    def values(lo: int, hi: int) -> np.ndarray:
+        d = np.hypot(x1[lo:hi, None] - x2, y1[lo:hi, None] - y2)
+        d += e1[lo:hi, None]
+        d += e2
+        return d
+
+    val, p, q = _chunked_argmin(len(x1), len(x2), values, threads)
+    return p, q, val
+
+
+# Rows per chunk of a float scan are chosen so that each temporary holds
+# about this many float64 entries (64 KiB): it stays in cache, and a scan's
+# memory does not grow with n1 * n2.
+_CHUNK_ENTRIES = 2**13
+
+
+def _float_xy(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([float(p.x) for p in points]),
+        np.array([float(p.y) for p in points]),
+    )
+
+
+def _chunked_argmin(n1: int, n2: int, values, threads: int = 1) -> tuple[float, int, int]:
+    """Lex-min (value, row, column) of the n1 x n2 matrix whose rows lo:hi
+    values(lo, hi) computes, one chunk of rows at a time. With threads > 1,
+    each of up to `threads` workers scans every threads-th chunk of the
+    same sequence, so memory stays one chunk per worker."""
+    step = max(1, _CHUNK_ENTRIES // n2)
+
+    def chunk_min(lo: int) -> tuple[float, int, int]:
+        vals = values(lo, min(lo + step, n1))
+        r, c = divmod(int(np.argmin(vals)), n2)   # first occurrence = lex-min
         return (float(vals[r, c]), lo + r, c)
 
-    n1 = len(x1)
-    if threads <= 1 or n1 < 2 * threads:
-        cands = [chunk_min(0, n1)]
-    else:
-        step = (n1 + threads - 1) // threads
-        ranges = [(i, min(i + step, n1)) for i in range(0, n1, step)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            cands = list(ex.map(lambda r: chunk_min(*r), ranges))
-    val, p, q = min(cands)
-    return p, q, val
+    starts = range(0, n1, step)
+    workers = min(threads, len(starts))
+    if workers <= 1:
+        return min(map(chunk_min, starts))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return min(ex.map(lambda k: min(map(chunk_min, starts[k::workers])), range(workers)))
 
 
 def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
@@ -200,26 +223,23 @@ def bichromatic_closest_pair(
     """Closest pair across the two point sets; ties by lex-min (i, j).
 
     Exact input takes the exact quadratic scan, float input a vectorized
-    scan in blocks of rows; on float input both compute the same IEEE
-    dx*dx + dy*dy, so they agree.
+    scan in chunks of rows with bounded memory; on float input both compute
+    the same IEEE dx*dx + dy*dy, so they agree.
     """
     if all(is_exact(p.x) and is_exact(p.y) for p in (*pts1, *pts2)):
         return _closest_pair_scan(pts1, pts2)
-    x1 = np.array([[float(p.x), float(p.y)] for p in pts1])
-    x2 = np.array([[float(p.x), float(p.y)] for p in pts2])
-    best = None
-    block = 1024
-    for lo in range(0, len(x1), block):
-        hi = min(lo + block, len(x1))
-        dx = x1[lo:hi, 0:1] - x2[None, :, 0].reshape(1, -1)
-        dy = x1[lo:hi, 1:2] - x2[None, :, 1].reshape(1, -1)
-        d2 = dx * dx + dy * dy
-        flat = int(np.argmin(d2))
-        r, c = divmod(flat, d2.shape[1])
-        cand = (float(d2[r, c]), lo + r, c)
-        if best is None or cand < best:
-            best = cand
-    _, i, j = best
+    x1, y1 = _float_xy(pts1)
+    x2, y2 = _float_xy(pts2)
+
+    def squared(lo: int, hi: int) -> np.ndarray:
+        dx = x1[lo:hi, None] - x2
+        dy = y1[lo:hi, None] - y2
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return dx
+
+    _, i, j = _chunked_argmin(len(x1), len(x2), squared)
     return i, j, euclidean_distance(pts1[i], pts2[j])
 
 

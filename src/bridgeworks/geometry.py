@@ -36,6 +36,10 @@ def euclidean_distance(a: Point, b: Point) -> Number:
     """
     dx = a.x - b.x
     dy = a.y - b.y
+    if isinstance(dx, float) or isinstance(dy, float):
+        # the same double as hypot(float(dx), float(dy)), without is_exact's
+        # ABC checks
+        return math.hypot(dx, dy)
     if is_exact(dx) and is_exact(dy):
         if dx == 0:
             return abs(dy)

@@ -4,10 +4,11 @@ Tree text format:
     n m            <- vertex and edge counts (m = n-1)
     id x y         <- n rows, ids must cover 0..n-1 in any order
     u v [weight]   <- m rows; a weight column makes the tree explicit
-Blank lines and '#' comments are skipped. Numeric literals: plain integers
-stay int, 'p/q' parses to an exact rational, anything with '.' or an
-exponent becomes a float. Geometric trees serialize without the weight
-column; explicit trees keep it.
+Blank lines and '#' comments are skipped. Numeric literals take their type
+from the token's shape: a token with '/' is an exact rational, one with '.',
+'e' or 'E' a float, any other an int if int() accepts it and else a float;
+non-finite values are rejected. Geometric trees serialize without the
+weight column; explicit trees keep it.
 
 SAT instances use the DIMACS-like form 'p cnf <vars> <clauses>' with three
 literals and a terminating 0 per clause line; 'c' lines are comments.
@@ -35,15 +36,20 @@ class ParseError(ValueError):
 
 
 def parse_number(token: str, line: int | None = None, column: int | None = None) -> Number:
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    # The token's shape picks the type: '/' means a rational, and a token
+    # holding '.', 'e' or 'E' goes straight to float(), as int() accepts none
+    # of them. Values and errors are those of trying int, Fraction, float in
+    # that order.
     if "/" in token:
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational literal {token!r}", line, column) from None
+    if "." not in token and "e" not in token and "E" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
     try:
         value = float(token)
     except ValueError:
@@ -65,13 +71,14 @@ def format_number(x: Number) -> str:
     return repr(float(x))
 
 
-def _content_lines(text: str):
-    """Yield (line_number, tokens, raw) for non-blank, non-comment lines."""
+def _content_lines(text: str) -> list[tuple[int, list[str], str]]:
+    """(line_number, tokens, raw) for each non-blank, non-comment line."""
+    out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        yield i, stripped.split(), raw
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            out.append((i, tokens, raw))
+    return out
 
 
 def _token_column(raw: str, tokens: list[str], idx: int) -> int:
@@ -87,17 +94,14 @@ def _token_column(raw: str, tokens: list[str], idx: int) -> int:
 
 
 def _parse_cell(raw: str, tokens: list[str], idx: int, line: int) -> Number:
-    try:
-        return parse_number(tokens[idx])
-    except ParseError:
-        pass
-    # the column is looked up only for the error message: doing it for
-    # every number took a fifth of the parse time
+    """parse_number with the token's column; the rows call it only after a
+    bare parse_number failed, since finding the column of every number took
+    a fifth of the parse time."""
     return parse_number(tokens[idx], line, _token_column(raw, tokens, idx))
 
 
 def _parse_points_edges(text: str, *, weights_allowed: bool):
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
     ln, toks, raw = lines[0]
@@ -126,9 +130,10 @@ def _parse_points_edges(text: str, *, weights_allowed: bool):
             raise ParseError(f"vertex id {vid} out of range 0..{n - 1}", ln, 1)
         if points[vid] is not None:
             raise ParseError(f"duplicate vertex id {vid}", ln, 1)
-        x = _parse_cell(raw, toks, 1, ln)
-        y = _parse_cell(raw, toks, 2, ln)
-        points[vid] = (x, y)
+        try:
+            points[vid] = (parse_number(toks[1]), parse_number(toks[2]))
+        except ParseError:
+            points[vid] = (_parse_cell(raw, toks, 1, ln), _parse_cell(raw, toks, 2, ln))
     edges = []
     saw_weight = False
     saw_bare = False
@@ -144,7 +149,10 @@ def _parse_points_edges(text: str, *, weights_allowed: bool):
                 raise ParseError(f"edge endpoint {e} out of range", ln, 1)
         if len(toks) == 3:
             saw_weight = True
-            w = _parse_cell(raw, toks, 2, ln)
+            try:
+                w = parse_number(toks[2])
+            except ParseError:
+                w = _parse_cell(raw, toks, 2, ln)
             edges.append((u, v, w))
         else:
             saw_bare = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from bridgeworks import (
     one_bridge_decide,
     solve_exact,
 )
-from bridgeworks.bridge import _closest_pair_scan
+from bridgeworks.bridge import _closest_pair_scan, bichromatic_closest_pair
 from bridgeworks.geometry import single_source_tree_distances
 from bridgeworks.numerics import is_exact
 from bridgeworks.reductions import cov_to_one_bridge, random_instance, sat_to_cov
@@ -171,11 +172,67 @@ def test_single_bridge_solvers_sweep_and_report_what_the_tables_give(monkeypatch
         assert got == want["forest"] and type(conn.diameter) is type(want["forest"][1])
 
 
-def test_threads_do_not_change_result():
-    t1, t2 = float_pair(17, n_max=20)
-    a = solve_exact(t1, t2, threads=1)
-    b = solve_exact(t1, t2, threads=4)
-    assert (a.p, a.q, a.value) == (b.p, b.q, b.value)
+def tie_rich_float_pair(seed, weights):
+    """Overlapping integer grids as floats, with explicit integer weights in
+    `weights`: many bridges tie at the optimum (coincident points, equal
+    eccentricities), and 120 x 90 pairs span two default scan chunks."""
+    pair = (
+        gen_random_tree(120, seed, grid=True, bbox=(0, 0, 15, 15), explicit_weight_range=weights),
+        gen_random_tree(90, seed + 100, grid=True, bbox=(8, 0, 23, 15), explicit_weight_range=weights),
+    )
+    return [
+        WeightedTree([(float(p.x), float(p.y)) for p in t.points],
+                     [(u, v, float(w)) for u, v, w in t.edges], explicit_weights=True)
+        for t in pair
+    ]
+
+
+def tied_rows(t1, t2, value):
+    """The rows p of every bridge scoring `value` in the oracle's scoring."""
+    ecc1 = [max(single_source_tree_distances(t1, p)) for p in range(t1.n)]
+    ecc2 = [max(single_source_tree_distances(t2, q)) for q in range(t2.n)]
+    return {
+        p for p in range(t1.n) for q in range(t2.n)
+        if ecc1[p] + euclidean_distance(t1.points[p], t2.points[q]) + ecc2[q] == value
+    }
+
+
+def test_threads_do_not_change_result(monkeypatch):
+    # one-row chunks put every tie across a chunk boundary; n1 * n2 entries
+    # scan the whole matrix as one chunk
+    cases = [float_pair(17, n_max=20), *(tie_rich_float_pair(s, (0, 0)) for s in (0, 1)),
+             tie_rich_float_pair(4, (0, 1))]
+    for t1, t2 in cases:
+        closest = _closest_pair_scan(t1.points, t2.points)
+        got = set()
+        for entries in (1, bridgeworks.bridge._CHUNK_ENTRIES, t1.n * t2.n):
+            monkeypatch.setattr(bridgeworks.bridge, "_CHUNK_ENTRIES", entries)
+            for threads in (1, 2, 4):
+                sol = solve_exact(t1, t2, threads=threads)
+                got.add((sol.p, sol.q, sol.value))
+            assert bichromatic_closest_pair(t1.points, t2.points) == closest
+        assert len(got) == 1
+        (p, q, value), = got
+        want = oracle_best_bridge(t1, t2)
+        assert (p, q) == want[1:] and math.isclose(value, want[0], rel_tol=1e-12)
+    # the tie-rich pairs tie at the optimum on several rows
+    assert all(len(tied_rows(*pair, oracle_best_bridge(*pair)[0])) >= 5 for pair in cases[1:])
+
+
+def test_float_scans_have_bounded_memory():
+    # scanning the whole 2000 x 2000 matrix at once peaked at 128 MB
+    # (solve_exact) and 79 MB (approx_greedy)
+    t1 = gen_random_tree(2000, 1)
+    t2 = gen_random_tree(2000, 2, bbox=(150, 0, 250, 100))
+    for run in (lambda: solve_exact(t1, t2), lambda: solve_exact(t1, t2, threads=2),
+                lambda: approx_greedy(t1, t2)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000, peak
 
 
 def test_backend_override_forces_double(monkeypatch):

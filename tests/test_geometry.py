@@ -214,6 +214,35 @@ def test_euclidean_distance_exact_when_representable():
     assert isinstance(d2, float) and math.isclose(d2, math.sqrt(2))
 
 
+def test_euclidean_distance_float_path_is_hypot_of_floats():
+    coords = [0, 1, -3, 2**60, Fraction(1, 3), Fraction(-7, 2), Fraction(10**300, 7),
+              0.0, -0.0, 1.5, -2.25, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+              1e308, -1e308, 1.7976931348623157e308]
+    rng = random.Random(8)
+    floats = 0
+    for _ in range(4000):
+        a = Point(rng.choice(coords), rng.choice(coords))
+        b = Point(rng.choice(coords), rng.choice(coords))
+        dx, dy = a.x - b.x, a.y - b.y
+        if not (isinstance(dx, float) or isinstance(dy, float)):
+            continue
+        floats += 1
+        want = math.hypot(float(dx), float(dy))
+        got = euclidean_distance(a, b)
+        assert type(got) is float and got.hex() == want.hex(), (a, b)
+    assert floats > 2000
+    # exact axis-aligned and perfect-square segments stay exact
+    for a, b, want in [
+        ((0, 0), (0, -7), 7),
+        ((Fraction(1, 2), 3), (2, 3), Fraction(3, 2)),
+        ((0, 0), (3, 4), 5),
+        ((0, 0), (Fraction(3, 5), Fraction(4, 5)), 1),
+        ((1, 1), (Fraction(5, 2), 3), Fraction(5, 2)),
+    ]:
+        got = euclidean_distance(Point(*a), Point(*b))
+        assert got == want and type(got) is type(want)
+
+
 # ---------------------------------------------------------------- segments
 
 def P(x, y):

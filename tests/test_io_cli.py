@@ -86,13 +86,65 @@ def test_parse_number_errors_carry_location():
         parse_number("abc")
 
 
+# Value and type, or the exact error, of each token; recorded from the
+# parser that tried int, Fraction and float in that order for every token.
+PARSE_NUMBER_PINS = [
+    ("1", 1),
+    ("-0", 0),
+    ("007", 7),
+    ("1_000", 1000),
+    ("1.5", 1.5),
+    ("-.5", -0.5),
+    ("-0.0", -0.0),
+    ("1_0.5", 10.5),
+    ("1e3", 1000.0),
+    ("1E-3", 0.001),
+    ("1e999", "non-finite literal '1e999'"),
+    ("inf", "non-finite literal 'inf'"),
+    ("nan", "non-finite literal 'nan'"),
+    ("1e", "bad numeric literal '1e'"),
+    ("0x10", "bad numeric literal '0x10'"),
+    ("abc", "bad numeric literal 'abc'"),
+    ("1/2", Fraction(1, 2)),
+    ("-3/6", Fraction(-1, 2)),
+    ("1.5/2", "bad rational literal '1.5/2'"),
+    ("3/0", "bad rational literal '3/0'"),
+]
+
+
+@pytest.mark.parametrize("token,want", PARSE_NUMBER_PINS)
+def test_parse_number_pinned_values_and_errors(token, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as ei:
+            parse_number(token, line=4, column=7)
+        assert str(ei.value) == f"{want} (line 4, column 7)"
+        assert (ei.value.line, ei.value.column) == (4, 7)
+    else:
+        got = parse_number(token)
+        # repr tells 1000 from 1000.0 and -0.0 from 0.0
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+
 # --------------------------------------------------------------------- trees
 
 def test_tree_text_round_trip_is_byte_stable():
-    for t in (geometric_tree(), explicit_tree()):
+    trees = [
+        geometric_tree(),
+        explicit_tree(),
+        gen_random_tree(300, 11),
+        gen_random_tree(120, 12, bbox=(-5, -5, 5, 5)),
+        gen_random_tree(200, 13, grid=True, bbox=(0, 0, 30, 30)),
+        gen_random_tree(150, 14, grid=True, bbox=(0, 0, 400, 0)),
+        gen_random_tree(250, 15, grid=True, bbox=(0, 0, 30, 30), explicit_weight_range=(0, 3)),
+    ]
+    for t in trees:
         text = serialize_tree(t)
-        again = serialize_tree(parse_tree(text))
-        assert again == text
+        back = parse_tree(text)
+        assert serialize_tree(back) == text
+        assert back.explicit_weights == t.explicit_weights
+        assert back.points == t.points and back.edges == t.edges
+        for got, want in ((back.points, t.points), (back.edges, t.edges)):
+            assert [type(x) for row in got for x in row] == [type(x) for row in want for x in row]
     assert "7/3" in serialize_tree(explicit_tree())
     assert serialize_tree(geometric_tree()).count("\n") == 1 + 3 + 2
 
