@@ -56,9 +56,18 @@ from .io import (
     serialize_sat,
     serialize_tree,
 )
-from . import reductions
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the reductions load on first use: no solver needs them
+    if name == "reductions":
+        import importlib
+
+        return importlib.import_module(".reductions", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "TOLERANCE",

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from .bridge import (
     approx_greedy,
@@ -52,17 +53,11 @@ from .io import (
     serialize_graph,
     serialize_tree,
 )
-from .reductions import (
-    OneInThreeSatInstance,
-    cov_to_one_bridge,
-    sat_to_cov,
-    sat_to_ksum,
-    vc_to_rdbp,
-    verify_ksum_iff,
-    verify_one_bridge_iff,
-    verify_rdbp_iff,
-)
 from .twin import brute_force_twin, crossing_optimum_instance, solve_twin
+
+# the reductions load only in the commands that use them
+if TYPE_CHECKING:
+    from .reductions import OneInThreeSatInstance
 
 
 def _file_digest(path: str) -> str:
@@ -262,6 +257,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import cov_to_one_bridge, sat_to_cov, sat_to_ksum, vc_to_rdbp
+
     run = _Run(args)
     if args.which == "sat-to-onebridge":
         cov = sat_to_cov(_load_sat(run, args.sat))
@@ -310,6 +307,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .reductions import verify_ksum_iff, verify_one_bridge_iff, verify_rdbp_iff
+
     run = _Run(args)
     if args.which == "iff-onebridge":
         rep = verify_one_bridge_iff(_load_sat(run, args.sat))
@@ -348,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         bp.add_argument("t2")
         common(bp)
         if mode == "exact":
-            bp.add_argument("--threads", type=int, default=1)
+            bp.add_argument("--threads", type=int, default=1,
+                            help="worker threads for the float scan, >= 1 (default 1); "
+                                 "on 2 vCPUs a second one pays only from n of about 2000 up")
             bp.add_argument("--emit-dot", metavar="PATH")
         if mode == "decide":
             bp.add_argument("--c1", required=True)
@@ -441,3 +442,7 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

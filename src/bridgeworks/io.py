@@ -19,10 +19,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .geometry import WeightedTree
 from .numerics import Number
-from .reductions.sat import OneInThreeSatInstance
+
+if TYPE_CHECKING:
+    from .reductions.sat import OneInThreeSatInstance
 
 
 class ParseError(ValueError):
@@ -230,6 +233,8 @@ def number_to_json(x: Number):
 
 
 def parse_sat(text: str) -> OneInThreeSatInstance:
+    from .reductions.sat import OneInThreeSatInstance
+
     n_vars = None
     n_clauses = None
     clauses = []

@@ -252,13 +252,16 @@ def _component_masks(t: WeightedTree, edge_index: int) -> np.ndarray:
     return mask
 
 
-def _best_bridge_between(arr: _Arrays, aidx: np.ndarray, bidx: np.ndarray):
-    eccA = arr.D1[np.ix_(aidx, aidx)].max(axis=1)
-    eccB = arr.D2[np.ix_(bidx, bidx)].max(axis=1)
-    V = eccA[:, None] + arr.W[np.ix_(aidx, bidx)] + eccB[None, :]
-    flat = int(np.argmin(V))
-    r, c = divmod(flat, V.shape[1])
-    return int(aidx[r]), int(bidx[c])
+def _split_eccentricities(t: WeightedTree, D: np.ndarray, off) -> np.ndarray:
+    """E[e, s, a]: a's eccentricity inside side s of the split at edge e
+    (s = 0 the component of edges[e][0], s = 1 the rest), `off` where a
+    lies on the other side. One edge at a time, O(n^2) each."""
+    E = np.empty((len(t.edges), 2, t.n), dtype=D.dtype)
+    for e in range(len(t.edges)):
+        mask = _component_masks(t, e)
+        for s, side in enumerate((mask, ~mask)):
+            E[e, s] = np.where(side, D[:, side].max(axis=1), off)
+    return E
 
 
 def solve_cases_12(
@@ -271,28 +274,39 @@ def solve_cases_12(
 
     For every edge pair (e1 in T1, e2 in T2), deleting them splits the trees
     into (T1a, T1b) and (T2a, T2b). Both pairings (T1a-T2a with T1b-T2b, and
-    T1a-T2b with T1b-T2a) are tried; each side contributes its own optimal
-    single bridge, and the combined pair is re-scored with the full
-    constrained-diameter expressions before comparison.
+    T1a-T2b with T1b-T2a) are tried; each side pair contributes its lex-min
+    single bridge by ecc_side(p) + w(p, q) + ecc_side(q), and the combined
+    pair is re-scored with the full constrained-diameter expressions before
+    comparison.
+
+    Cost: the split-eccentricity tables take O(m1*n1^2 + m2*n2^2) time and
+    O(m1*n1 + m2*n2) memory, once per tree; the edge-pair loop adds
+    O(m1*m2*n1*n2) bridge selection plus one scoring of two candidates per
+    edge pair.
     """
     _require_sizes(t1, t2)
     ctx = _ctx if _ctx is not None else _context(t1, t2)
     arr = ctx[2]
-    idx1 = np.arange(t1.n)
-    idx2 = np.arange(t2.n)
+    # off-side sentinel: above every on-side sum (int64 entries stay below
+    # 2**40), and two of them plus a weight still fit in int64
+    off = 2**61 if arr.D1.dtype == np.int64 else math.inf
+    E1 = _split_eccentricities(t1, arr.D1, off)
+    E2 = _split_eccentricities(t2, arr.D2, off)
+    n2 = t2.n
     best = None
-    masks1 = [_component_masks(t1, i) for i in range(len(t1.edges))]
-    masks2 = [_component_masks(t2, j) for j in range(len(t2.edges))]
-    for m1 in masks1:
-        sides1 = (idx1[m1], idx1[~m1])
-        for m2 in masks2:
-            sides2 = (idx2[m2], idx2[~m2])
+    for i in range(len(t1.edges)):
+        # [s1, 1, a, b]; (ecc + w) + ecc is the pairwise reference's float
+        # summation order, so float ties break the same way
+        head = E1[i][:, None, :, None] + arr.W
+        for j in range(len(t2.edges)):
+            V = (head + E2[j][None, :, None, :]).reshape(4, -1)
+            # row s1*2 + s2: first-occurrence argmin, so lex-min (a, b)
+            (a00, b00), (a01, b01), (a10, b10), (a11, b11) = (
+                divmod(int(f), n2) for f in V.argmin(axis=1)
+            )
             cands = [
-                _normalize(
-                    _best_bridge_between(arr, sides1[0], sides2[flip]),
-                    _best_bridge_between(arr, sides1[1], sides2[1 - flip]),
-                )
-                for flip in (0, 1)
+                _normalize((a00, b00), (a11, b11)),
+                _normalize((a01, b01), (a10, b10)),
             ]
             best = _lexmin(arr, cands, best)
     return _finish(t1, t2, ctx, best[1:])

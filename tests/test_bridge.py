@@ -219,6 +219,14 @@ def test_threads_do_not_change_result(monkeypatch):
     assert all(len(tied_rows(*pair, oracle_best_bridge(*pair)[0])) >= 5 for pair in cases[1:])
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_counts_below_one_are_rejected(threads):
+    # before any work, on exact and float input alike
+    for t1, t2 in (rational_pair(3), float_pair(17)):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            solve_exact(t1, t2, threads=threads)
+
+
 def test_float_scans_have_bounded_memory():
     # scanning the whole 2000 x 2000 matrix at once peaked at 128 MB
     # (solve_exact) and 79 MB (approx_greedy)

@@ -10,7 +10,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from importlib import resources
 
 import jsonschema
@@ -499,6 +503,38 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     code = main(["bridge", "exact", str(bad), str(good)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_thread_counts_below_one(tree_files, capsys, threads):
+    p1, p2, _, _ = tree_files
+    code, out, err = run_cli(capsys, "bridge", "exact", p1, p2, "--threads", threads)
+    assert code == 2 and out == ""
+    assert f"threads must be >= 1, got {threads}" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("module", ["bridgeworks", "bridgeworks.cli"])
+def test_python_dash_m_runs_main(module, tree_files, capsys):
+    # `python -m` from a source checkout, not an installed script
+    p1, p2, _, _ = tree_files
+    argv = ["twin", "solve", p1, p2, "--json"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, want = report_of(capsys, *argv)
+    assert proc.returncode == code == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    got.pop("duration_ms")
+    want.pop("duration_ms")
+    assert got == want
+    # and the exit code is main's, not 0
+    proc = subprocess.run([sys.executable, "-m", module, "bridge", "exact", p1, "/nope.txt"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "error:" in proc.stderr
 
 
 # Collinear exact trees: every distance is rational and the optimum values

@@ -1,7 +1,8 @@
 """The repository's scripts keep running against the library: every site
 the benchmark's span tracer patches (`perfbench/run.py --trace 1`) and every
 console script in pyproject.toml names a library callable, every exported
-name resolves, and every demo script exits 0."""
+name resolves, importing the CLI loads no code its solver commands do not
+run, and every demo script exits 0."""
 
 from __future__ import annotations
 
@@ -47,6 +48,18 @@ def test_exported_names_resolve(package):
     assert mod.__all__
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, (package, missing)
+
+
+def test_solver_commands_do_not_import_reductions_or_thread_pools():
+    # the reductions and concurrent.futures load only in the code that uses them
+    env = {k: v for k, v in os.environ.items() if k != "BRIDGEWORKS_BACKEND"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    code = ("import sys, bridgeworks.cli; "
+            "print(sorted(m for m in ('bridgeworks.reductions', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -10,6 +10,7 @@ shorter than the in-tree route.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 import tracemalloc
@@ -32,7 +33,16 @@ from bridgeworks import (
     solve_cases_34,
     solve_twin,
 )
-from bridgeworks.twin import _G_CHUNK, _Arrays, _batched_values, _context, _g_argmax
+from bridgeworks.twin import (
+    _G_CHUNK,
+    _Arrays,
+    _batched_values,
+    _context,
+    _finish,
+    _g_argmax,
+    _lexmin,
+    _normalize,
+)
 
 
 # ---------------------------------------------------------------- reference
@@ -162,6 +172,53 @@ def tied_groups_pair():
     t1 = WeightedTree([(0, 0), (0, 4)], [(0, 1, 10)], explicit_weights=True)
     t2 = WeightedTree([(3, 0), (3, 4), (-3, 0)], [(0, 1, 1), (0, 2, 3)], explicit_weights=True)
     return t1, t2
+
+
+def grid_pair(seed):
+    """Integer-grid trees with n 2..10 on overlapping 7 x 7 grids; on odd
+    seeds explicit weights in {0, 1, 2, 3}, so ties and zero-length
+    routes occur."""
+    rng = random.Random(seed)
+    def mk(n, x0):
+        pts = set()
+        while len(pts) < n:
+            pts.add((x0 + rng.randint(0, 6), rng.randint(0, 6)))
+        pts = sorted(pts)
+        rng.shuffle(pts)
+        if seed % 2:
+            return WeightedTree(pts, [(rng.randrange(i), i, rng.randint(0, 3)) for i in range(1, n)],
+                                explicit_weights=True)
+        return WeightedTree(pts, [(rng.randrange(i), i) for i in range(1, n)])
+    return mk(rng.randint(2, 10), 0), mk(rng.randint(2, 10), 3)
+
+
+def prufer_trees(n):
+    """Every labeled tree on n >= 2 vertices, as edge lists, by Prufer code."""
+    if n == 2:
+        yield [(0, 1)]
+        return
+    for code in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in code:
+            degree[v] += 1
+        edges = []
+        for v in code:
+            leaf = min(u for u in range(n) if degree[u] == 1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(u for u in range(n) if degree[u] == 1))
+        yield edges
+
+
+def collinear_prufer_pairs(k):
+    """Every pair of labeled trees on 2..k vertices at unit spacing on one
+    line, T2 to the right of T1."""
+    trees = [(n, edges) for n in range(2, k + 1) for edges in prufer_trees(n)]
+    for n1, e1 in trees:
+        for n2, e2 in trees:
+            yield (WeightedTree([(i, 0) for i in range(n1)], e1),
+                   WeightedTree([(10 + i, 0) for i in range(n2)], e2))
 
 
 def twin_arrays(t1, t2):
@@ -436,6 +493,77 @@ def test_case34_search_memory_is_bounded(monkeypatch):
     assert peak <= 4_000_000, peak
     monkeypatch.setattr(bridgeworks.twin, "_G_CHUNK", 40**4)
     assert solve_cases_34(t1, t2) == got
+
+
+def reference_cases_12(t1, t2):
+    """The case 1-2 search pair by pair: for each deleted edge pair, each
+    side's eccentricities from its own submatrix of the distance table,
+    and each side pair's bridge the argmin over the sorted side indices."""
+    ctx = _context(t1, t2)
+    arr = ctx[2]
+
+    def sides(t, e):
+        u, v, _ = t.edges[e]
+        comp = component_of(t, u, {u, v})
+        return (np.array([x for x in range(t.n) if x in comp]),
+                np.array([x for x in range(t.n) if x not in comp]))
+
+    def best_bridge_between(aidx, bidx):
+        eccA = arr.D1[np.ix_(aidx, aidx)].max(axis=1)
+        eccB = arr.D2[np.ix_(bidx, bidx)].max(axis=1)
+        V = eccA[:, None] + arr.W[np.ix_(aidx, bidx)] + eccB[None, :]
+        r, c = divmod(int(np.argmin(V)), V.shape[1])
+        return int(aidx[r]), int(bidx[c])
+
+    best = None
+    for i in range(len(t1.edges)):
+        sides1 = sides(t1, i)
+        for j in range(len(t2.edges)):
+            sides2 = sides(t2, j)
+            cands = [
+                _normalize(best_bridge_between(sides1[0], sides2[flip]),
+                           best_bridge_between(sides1[1], sides2[1 - flip]))
+                for flip in (0, 1)
+            ]
+            best = _lexmin(arr, cands, best)
+    return _finish(t1, t2, ctx, best[1:])
+
+
+def assert_cases_12_match_reference(pairs):
+    for t1, t2 in pairs:
+        got, want = solve_cases_12(t1, t2), reference_cases_12(t1, t2)
+        assert got == want and type(got.value) is type(want.value), (t1, t2)
+
+
+def test_case12_search_matches_pairwise_reference(monkeypatch):
+    # integer collinear trees: int64 arrays, ties everywhere
+    prufer = list(collinear_prufer_pairs(4))
+    assert len(prufer) == 400
+    assert_cases_12_match_reference(prufer)
+    floats = [float_pair(seed, n_max=10) for seed in range(30)]
+    grids = [grid_pair(seed) for seed in range(60)]
+    exact = [fractional_pair(seed, seed % 2 == 0) for seed in range(12)]
+    exact += [rational_pair(seed, seed % 2 == 0, sizes=(2, 9)) for seed in range(12)]
+    big = [big_denominator_pair(seed) for seed in range(6)]
+    assert twin_arrays(*big[0]).D1.dtype == object
+    assert_cases_12_match_reference(floats + grids + exact + big)
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    assert_cases_12_match_reference(grids[:30] + exact + big)
+
+
+def test_case12_search_memory_is_bounded():
+    # scoring every edge pair in one (m1, m2, 2, 2, n1, n2) tensor would
+    # take ~78 MB at n = 40
+    for n in (40, 60):
+        t1 = gen_random_tree(n, n)
+        t2 = gen_random_tree(n, 10000 + n, bbox=(150, 0, 250, 100))
+        tracemalloc.start()
+        try:
+            solve_cases_12(t1, t2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000, (n, peak)
 
 
 def case34_argmaxes(t1, t2):
