@@ -228,8 +228,12 @@ def bichromatic_closest_pair(
 
     Exact input takes the exact quadratic scan, float input a vectorized
     scan in chunks of rows with bounded memory; on float input both compute
-    the same IEEE dx*dx + dy*dy, so they agree.
+    the same IEEE dx*dx + dy*dy, so they agree. An empty side raises
+    ValueError.
     """
+    for name, pts in (("pts1", pts1), ("pts2", pts2)):
+        if len(pts) == 0:
+            raise ValueError(f"closest pair needs a point on each side; {name} is empty")
     if all(is_exact(p.x) and is_exact(p.y) for p in (*pts1, *pts2)):
         return _closest_pair_scan(pts1, pts2)
     x1, y1 = _float_xy(pts1)

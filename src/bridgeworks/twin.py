@@ -12,9 +12,10 @@ convention p1 < p2.
 All shortest paths in T'' factor through the four bridge endpoints, so one
 term function, `_terms`, gives every pair's distance in closed form over
 the two tree distance tables, held as numpy arrays: float64 for inexact
-input, integers scaled by one common denominator for exact input. The
-searches score candidates by its maximum; the evaluator reports its
-argmax, with the value recomputed from the tables at that pair.
+input, integers scaled by one common denominator for exact input (float64
+below 2**40, Python ints past that). The searches score candidates by its
+maximum; the evaluator reports its argmax, with the value recomputed from
+the tables at that pair.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .bridge import _backend_of, _reported, _resolve_mode
 from .geometry import (
-    DistanceTable,
     WeightedTree,
     build_distance_table,
     euclidean_distance,
@@ -93,7 +93,7 @@ def evaluate_constrained_diameter(
     BRIDGEWORKS_BACKEND as the solvers' values do.
     """
     _check_bridges(t1, t2, b1, b2)
-    tab1, tab2, arr = _ctx if _ctx is not None else _context(t1, t2)
+    arr = _ctx if _ctx is not None else _Arrays(t1, t2)
     (p1, q1), (p2, q2) = b1, b2
     cross, in1, in2 = (x[0] for x in _terms(arr, [p1], [q1], [p2], [q2]))
     a, b = divmod(int(cross.argmax()), t2.n)
@@ -106,7 +106,7 @@ def evaluate_constrained_diameter(
 
     # the value again, from the tables at the witness: exact values keep
     # their type (5 vs Fraction(5))
-    D1, D2 = tab1.dist, tab2.dist
+    D1, D2 = arr.tab1.dist, arr.tab2.dist
     w1 = euclidean_distance(t1.points[p1], t2.points[q1])
     w2 = euclidean_distance(t1.points[p2], t2.points[q2])
     if kind == "cross":
@@ -125,37 +125,38 @@ def evaluate_constrained_diameter(
 
 
 class _Arrays:
-    """Distance tables and cross distances as numpy arrays of one type.
-
-    Inexact input (any float among D1, D2 and W), or
-    BRIDGEWORKS_BACKEND=double, gives float64; as for the single bridge,
-    BRIDGEWORKS_BACKEND=rational on inexact trees raises ValueError. Exact input is multiplied by
-    `scale`, the lcm of every denominator, and stored as integers: int64
-    while the scaled magnitudes stay below 2**40 (so sums of four terms
-    cannot overflow), an object array of Python ints past that. Scaled
-    integers order exactly as the exact values do; v stands for
-    Fraction(v, scale). `scale` is None on float64. upper1 and upper2 index
-    the vertex pairs a < b of each tree, row by row.
+    """The search context: both distance tables (tab1, tab2) and, as numpy
+    arrays of one type, their entries and the cross distances (D1, D2, W).
+    Trees under 2 vertices raise ValueError. Inexact input (any float among
+    D1, D2 and W), or BRIDGEWORKS_BACKEND=double, gives float64; as for the
+    single bridge, BRIDGEWORKS_BACKEND=rational on inexact trees raises
+    ValueError. Exact input is multiplied by `scale`, the lcm of every
+    denominator, and stored as integers: float64 while the scaled
+    magnitudes stay below 2**40 (sums of up to five, the most the searches
+    form, are then exact integers below 2**53), Python ints in an object
+    array past that. They order exactly as the exact values do; v stands
+    for Fraction(v, scale). `scale` is None on inexact input. upper1 and
+    upper2 index the vertex pairs a < b of each tree, row by row.
     """
 
-    def __init__(self, t1: WeightedTree, t2: WeightedTree,
-                 tab1: DistanceTable, tab2: DistanceTable):
+    def __init__(self, t1: WeightedTree, t2: WeightedTree):
+        if t1.n < 2 or t2.n < 2:
+            raise ValueError("twin bridges need at least 2 vertices in each tree")
+        self.tab1 = build_distance_table(t1)
+        self.tab2 = build_distance_table(t2)
         W = [
             [euclidean_distance(p, q) for q in t2.points]
             for p in t1.points
         ]
-        tables = (tab1.dist, tab2.dist, W)
+        tables = (self.tab1.dist, self.tab2.dist, W)
         flat = [x for m in tables for row in m for x in row]
         if _resolve_mode(t1, t2) == "double" or not all(is_exact(x) for x in flat):
             self.scale = None
-            dtype, self.neg, lift = np.float64, -np.inf, float
+            dtype, lift = np.float64, float
         else:
             scale = self.scale = math.lcm(*{x.denominator for x in flat})
             lift = lambda x: x.numerator * (scale // x.denominator)  # noqa: E731
-            if max(abs(x) for x in flat) * scale < 2**40:
-                dtype, self.neg = np.int64, np.iinfo(np.int64).min // 4
-            else:
-                dtype, self.neg = object, -math.inf
+            dtype = np.float64 if max(abs(x) for x in flat) * scale < 2**40 else object
         self.D1, self.D2, self.W = (
             np.array([[lift(x) for x in row] for row in m], dtype=dtype)
             for m in tables
@@ -164,13 +165,13 @@ class _Arrays:
         self.upper2 = np.triu_indices(t2.n, 1)
 
 
-def _detours(D, Ru, Rv, thr, neg):
+def _detours(D, Ru, Rv, thr):
     """[k, a, b]: in-tree pair (a, b) routed out at u or v and back in at the
-    other, neg where that does not beat the in-tree route; Ru, Rv are the
+    other, -inf where that does not beat the in-tree route; Ru, Rv are the
     table rows of u and v (the tables are symmetric)."""
     alt = np.minimum(Ru[:, :, None] + thr[:, None, None] + Rv[:, None, :],
                      Rv[:, :, None] + thr[:, None, None] + Ru[:, None, :])
-    return np.where(alt < D[None, :, :], alt, neg)
+    return np.where(alt < D[None, :, :], alt, -np.inf)
 
 
 def _terms(arr: _Arrays, P1, Q1, P2, Q2):
@@ -182,8 +183,8 @@ def _terms(arr: _Arrays, P1, Q1, P2, Q2):
     R1, R2, S1, S2 = D1[P1], D1[P2], D2[Q1], D2[Q2]
     cross = np.minimum(R1[:, :, None] + w1[:, None, None] + S1[:, None, :],
                        R2[:, :, None] + w2[:, None, None] + S2[:, None, :])
-    t1 = _detours(D1, R1, R2, w1 + D2[Q1, Q2] + w2, arr.neg)
-    t2 = _detours(D2, S1, S2, w1 + D1[P1, P2] + w2, arr.neg)
+    t1 = _detours(D1, R1, R2, w1 + D2[Q1, Q2] + w2)
+    t2 = _detours(D2, S1, S2, w1 + D1[P1, P2] + w2)
     return cross, t1, t2
 
 
@@ -208,9 +209,9 @@ def _normalize(b1: tuple[int, int], b2: tuple[int, int]) -> tuple[int, int, int,
     return (*b2, *b1)
 
 
-def _finish(t1, t2, ctx, cand: tuple[int, int, int, int]) -> TwinBridgeSolution:
+def _finish(t1, t2, arr: _Arrays, cand: tuple[int, int, int, int]) -> TwinBridgeSolution:
     p1, q1, p2, q2 = cand
-    ev = evaluate_constrained_diameter(t1, t2, (p1, q1), (p2, q2), _ctx=ctx)
+    ev = evaluate_constrained_diameter(t1, t2, (p1, q1), (p2, q2), _ctx=arr)
     crossing = segments_properly_cross(
         t1.points[p1], t2.points[q1], t1.points[p2], t2.points[q2]
     )
@@ -223,11 +224,6 @@ def _finish(t1, t2, ctx, cand: tuple[int, int, int, int]) -> TwinBridgeSolution:
         intersecting=crossing,
         backend=_backend_of(ev.value),
     )
-
-
-def _require_sizes(t1: WeightedTree, t2: WeightedTree):
-    if t1.n < 2 or t2.n < 2:
-        raise ValueError("twin bridges need at least 2 vertices in each tree")
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +248,15 @@ def _component_masks(t: WeightedTree, edge_index: int) -> np.ndarray:
     return mask
 
 
-def _split_eccentricities(t: WeightedTree, D: np.ndarray, off) -> np.ndarray:
+def _split_eccentricities(t: WeightedTree, D: np.ndarray) -> np.ndarray:
     """E[e, s, a]: a's eccentricity inside side s of the split at edge e
-    (s = 0 the component of edges[e][0], s = 1 the rest), `off` where a
-    lies on the other side. One edge at a time, O(n^2) each."""
+    (s = 0 the component of edges[e][0], s = 1 the rest), inf where a lies
+    on the other side. One edge at a time, O(n^2) each."""
     E = np.empty((len(t.edges), 2, t.n), dtype=D.dtype)
     for e in range(len(t.edges)):
         mask = _component_masks(t, e)
         for s, side in enumerate((mask, ~mask)):
-            E[e, s] = np.where(side, D[:, side].max(axis=1), off)
+            E[e, s] = np.where(side, D[:, side].max(axis=1), np.inf)
     return E
 
 
@@ -284,14 +280,9 @@ def solve_cases_12(
     O(m1*m2*n1*n2) bridge selection plus one scoring of two candidates per
     edge pair.
     """
-    _require_sizes(t1, t2)
-    ctx = _ctx if _ctx is not None else _context(t1, t2)
-    arr = ctx[2]
-    # off-side sentinel: above every on-side sum (int64 entries stay below
-    # 2**40), and two of them plus a weight still fit in int64
-    off = 2**61 if arr.D1.dtype == np.int64 else math.inf
-    E1 = _split_eccentricities(t1, arr.D1, off)
-    E2 = _split_eccentricities(t2, arr.D2, off)
+    arr = _ctx if _ctx is not None else _Arrays(t1, t2)
+    E1 = _split_eccentricities(t1, arr.D1)
+    E2 = _split_eccentricities(t2, arr.D2)
     n2 = t2.n
     best = None
     for i in range(len(t1.edges)):
@@ -309,7 +300,7 @@ def solve_cases_12(
                 _normalize((a01, b01), (a10, b10)),
             ]
             best = _lexmin(arr, cands, best)
-    return _finish(t1, t2, ctx, best[1:])
+    return _finish(t1, t2, arr, best[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +314,6 @@ _G_CHUNK = 2**16
 def _g_argmax(
     arr: _Arrays,
     path: Sequence[int],
-    n_other: int,
     *,
     swap: bool,
 ) -> tuple[int, int, int, int]:
@@ -341,7 +331,7 @@ def _g_argmax(
     Dother = arr.D2 if not swap else arr.D1
     W = arr.W if not swap else arr.W.T  # W[p, q] with p on the path side
     path = list(path)
-    k = len(path)
+    k, n_other = len(path), len(Dother)
     Dp = Dsame[np.ix_(path, path)]
     Wp = W[path, :]
     eye_p = np.eye(k, dtype=bool)
@@ -355,7 +345,7 @@ def _g_argmax(
             - Dother[None, :, None, :]
             - Wp[None, None, :, :]
         )
-        G = np.where(eye_p[lo:lo + rows, None, :, None] | eye_q, arr.neg, G)
+        G = np.where(eye_p[lo:lo + rows, None, :, None] | eye_q, -np.inf, G)
         flat = int(np.argmax(G))
         if best is None or G.flat[flat] > best[0]:
             best = (G.flat[flat], lo, np.unravel_index(flat, G.shape))
@@ -378,28 +368,17 @@ def solve_cases_34(
     shortening T1's long pairs); case 4 is symmetric for T2. Each case's
     g-argmax is re-scored with the full constrained-diameter expressions.
     """
-    _require_sizes(t1, t2)
-    ctx = _ctx if _ctx is not None else _context(t1, t2)
-    tab1, tab2, arr = ctx
-    x, z = tab1.diameter_pair
-    path1 = path_vertices(t1, x, z)
-    x2, z2 = tab2.diameter_pair
-    path2 = path_vertices(t2, x2, z2)
+    arr = _ctx if _ctx is not None else _Arrays(t1, t2)
     cands = []
-    for path, swap, no in ((path1, False, t2.n), (path2, True, t1.n)):
+    for t, tab, swap in ((t1, arr.tab1, False), (t2, arr.tab2, True)):
+        path = path_vertices(t, *tab.diameter_pair)
         if len(path) < 2:
             continue
-        p1, q1, p2, q2 = _g_argmax(arr, path, no, swap=swap)
+        p1, q1, p2, q2 = _g_argmax(arr, path, swap=swap)
         cands.append(_normalize((p1, q1), (p2, q2)))
     if not cands:
         raise ValueError("degenerate trees: no diameter path of length >= 2")
-    return _finish(t1, t2, ctx, _lexmin(arr, cands)[1:])
-
-
-def _context(t1: WeightedTree, t2: WeightedTree):
-    tab1 = build_distance_table(t1)
-    tab2 = build_distance_table(t2)
-    return tab1, tab2, _Arrays(t1, t2, tab1, tab2)
+    return _finish(t1, t2, arr, _lexmin(arr, cands)[1:])
 
 
 def solve_twin(t1: WeightedTree, t2: WeightedTree) -> TwinBridgeSolution:
@@ -407,15 +386,12 @@ def solve_twin(t1: WeightedTree, t2: WeightedTree) -> TwinBridgeSolution:
     each reported solution scored by the shared evaluator, lexicographic
     tie-break.
     """
-    _require_sizes(t1, t2)
-    ctx = _context(t1, t2)
-    s12 = solve_cases_12(t1, t2, _ctx=ctx)
-    if all(x == z for x, z in (ctx[0].diameter_pair, ctx[1].diameter_pair)):
+    arr = _Arrays(t1, t2)
+    s12 = solve_cases_12(t1, t2, _ctx=arr)
+    if all(x == z for x, z in (arr.tab1.diameter_pair, arr.tab2.diameter_pair)):
         return s12  # no diameter path of >= 2 vertices: cases 3-4 are empty
-    s34 = solve_cases_34(t1, t2, _ctx=ctx)
-    k12 = (s12.value, *s12.tuple4)
-    k34 = (s34.value, *s34.tuple4)
-    return s12 if k12 <= k34 else s34
+    s34 = solve_cases_34(t1, t2, _ctx=arr)
+    return min(s12, s34, key=lambda s: (s.value, *s.tuple4))  # s12 on ties
 
 
 def brute_force_twin(
@@ -429,12 +405,11 @@ def brute_force_twin(
     lexicographic (p1, q1, p2, q2) order with p1 < p2, so the first minimum
     is the lex-min optimum.
     """
-    _require_sizes(t1, t2)
     n1, n2 = t1.n, t2.n
-    if n1 * n2 > 400 and not force:
+    # a tree under 2 vertices gets _Arrays' size error instead
+    if n1 * n2 > 400 and min(n1, n2) > 1 and not force:
         raise ValueError(f"instance too large for brute force ({n1}*{n2} > 400); pass force=True")
-    ctx = _context(t1, t2)
-    arr = ctx[2]
+    arr = _Arrays(t1, t2)
     cands = [
         (p1, q1, p2, q2)
         for p1 in range(n1)
@@ -448,7 +423,7 @@ def brute_force_twin(
     best = None
     for s in range(0, len(cands), step):
         best = _lexmin(arr, cands[s:s + step], best)
-    sol = _finish(t1, t2, ctx, best[1:])
+    sol = _finish(t1, t2, arr, best[1:])
     if arr.scale is None:
         assert math.isclose(float(best[0]), float(sol.value), rel_tol=1e-12, abs_tol=1e-12)
     else:

@@ -29,7 +29,7 @@ from bridgeworks import (
     solve_exact,
 )
 from bridgeworks.bridge import _closest_pair_scan, bichromatic_closest_pair
-from bridgeworks.geometry import single_source_tree_distances
+from bridgeworks.geometry import Point, single_source_tree_distances
 from bridgeworks.numerics import is_exact
 from bridgeworks.reductions import cov_to_one_bridge, random_instance, sat_to_cov
 from bridgeworks.twin import (
@@ -195,6 +195,18 @@ def tied_rows(t1, t2, value):
         p for p in range(t1.n) for q in range(t2.n)
         if ecc1[p] + euclidean_distance(t1.points[p], t2.points[q]) + ecc2[q] == value
     }
+
+
+@pytest.mark.parametrize("pts1,pts2,empty", [
+    ([], [(0, 0), (1, 2)], "pts1"),             # exact points
+    ([(0, 0), (Fraction(1, 2), 3)], [], "pts2"),
+    ([], [(0.5, 0.0), (1.0, 2.0)], "pts1"),     # float points
+    ([(0.5, 0.0), (1.0, 2.0)], [], "pts2"),
+])
+def test_closest_pair_rejects_an_empty_side(pts1, pts2, empty):
+    pts1, pts2 = ([Point(*p) for p in pts] for pts in (pts1, pts2))
+    with pytest.raises(ValueError, match=f"{empty} is empty"):
+        bichromatic_closest_pair(pts1, pts2)
 
 
 def test_threads_do_not_change_result(monkeypatch):

@@ -491,6 +491,14 @@ def test_cli_twin_solve_on_zero_diameter_trees(tmp_path, capsys):
     assert solve["result"]["value"] == 9
 
 
+def test_cli_twin_solve_rejects_a_single_vertex_tree(tmp_path, capsys):
+    p1 = write_tree(tmp_path, "one.txt", WeightedTree([(0, 0)], []))
+    p2 = write_tree(tmp_path, "two.txt", WeightedTree([(10, 0), (11, 0)], [(0, 1)]))
+    code, out, err = run_cli(capsys, "twin", "solve", p1, p2)
+    assert code == 2 and out == ""
+    assert "twin bridges need at least 2 vertices in each tree" in err
+
+
 def test_cli_usage_and_input_errors(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -2,7 +2,7 @@
 the benchmark's span tracer patches (`perfbench/run.py --trace 1`) and every
 console script in pyproject.toml names a library callable, every exported
 name resolves, importing the CLI loads no code its solver commands do not
-run, and every demo script exits 0."""
+run, every demo script exits 0, and README's library example runs."""
 
 from __future__ import annotations
 
@@ -69,3 +69,11 @@ def test_demo_script_exits_zero(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert code.strip()
+    exec(compile(code, "README.md", "exec"), {})

@@ -9,6 +9,7 @@ shorter than the in-tree route.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -37,7 +38,6 @@ from bridgeworks.twin import (
     _G_CHUNK,
     _Arrays,
     _batched_values,
-    _context,
     _finish,
     _g_argmax,
     _lexmin,
@@ -134,7 +134,7 @@ def fractional_pair(seed, explicit):
     return mk(rng.randint(3, 7), 0), mk(rng.randint(3, 7), 100)
 
 
-# primes just above 10**13: scaled values overflow int64 headroom
+# primes just above 10**13: scaled values pass 2**40, so Python ints
 BIG_PRIMES = (10**13 + 37, 10**13 + 51, 10**13 + 99)
 
 
@@ -221,10 +221,6 @@ def collinear_prufer_pairs(k):
                    WeightedTree([(10 + i, 0) for i in range(n2)], e2))
 
 
-def twin_arrays(t1, t2):
-    return _Arrays(t1, t2, build_distance_table(t1), build_distance_table(t2))
-
-
 def all_disjoint_pairs(n1, n2):
     for p1 in range(n1):
         for q1 in range(n2):
@@ -258,12 +254,12 @@ def test_evaluator_matches_reference_value_and_witness():
     rng = random.Random(11)
     for t1, t2 in instances:
         pairs = list(all_disjoint_pairs(t1.n, t2.n))
-        ctx = _context(t1, t2)
+        arr = _Arrays(t1, t2)
         for b1, b2 in rng.sample(pairs, min(10, len(pairs))):
-            ev = evaluate_constrained_diameter(t1, t2, b1, b2, _ctx=ctx)
+            ev = evaluate_constrained_diameter(t1, t2, b1, b2, _ctx=arr)
             value, witness, kind = reference_constrained_diameter(t1, t2, b1, b2)
             assert (ev.witness, ev.witness_kind) == (witness, kind), (b1, b2)
-            if ctx[2].scale is None:
+            if arr.scale is None:
                 assert math.isclose(ev.value, value, rel_tol=1e-12), (b1, b2)
             else:
                 assert ev.value == value, (b1, b2)
@@ -336,6 +332,28 @@ def test_same_tree_pair_with_tied_route_is_excluded():
 
 # ---------------------------------------------------------------- brute force
 
+SIZE_ERROR = "twin bridges need at least 2 vertices in each tree"
+
+
+@pytest.mark.parametrize("solve", [solve_twin, solve_cases_12, solve_cases_34, brute_force_twin],
+                         ids=lambda f: f.__name__)
+def test_twin_solvers_reject_single_vertex_trees(solve):
+    one = WeightedTree([(0, 0)], [])
+    two = WeightedTree([(5, 0), (6, 0)], [(0, 1)])
+    for t1, t2 in ((one, two), (two, one), (one, one)):
+        with pytest.raises(ValueError, match=SIZE_ERROR):
+            solve(t1, t2)
+
+
+def test_brute_force_size_error_comes_before_its_guard():
+    # 1 x 401 is over the n1 * n2 <= 400 guard, but no bridge pair exists
+    one = WeightedTree([(0, 0)], [])
+    path = collinear_path(401, 10)
+    for t1, t2 in ((one, path), (path, one)):
+        with pytest.raises(ValueError, match=SIZE_ERROR):
+            brute_force_twin(t1, t2)
+
+
 def test_brute_force_guard():
     t1 = gen_random_tree(21, 1)
     t2 = gen_random_tree(21, 2, bbox=(200, 0, 300, 100))
@@ -353,10 +371,10 @@ def test_brute_force_is_true_min_over_all_pairs():
     exact += [big_denominator_pair(seed) for seed in range(4)]
     for t1, t2 in exact:
         sol = brute_force_twin(t1, t2)
-        ctx = _context(t1, t2)
+        arr = _Arrays(t1, t2)
         best = None
         for b1, b2 in all_disjoint_pairs(t1.n, t2.n):
-            v = evaluate_constrained_diameter(t1, t2, b1, b2, _ctx=ctx).value
+            v = evaluate_constrained_diameter(t1, t2, b1, b2, _ctx=arr).value
             key = (v, b1[0], b1[1], b2[0], b2[1])
             if best is None or key < best:
                 best = key
@@ -367,7 +385,7 @@ def test_brute_force_batches_agree_with_one_batch():
     # 12 x 12 has 8712 candidates, more than one batch of B x 12 x 12 blocks
     t1, t2 = rational_pair(0, explicit=True, sizes=(12, 12))
     sol = brute_force_twin(t1, t2)
-    arr = twin_arrays(t1, t2)
+    arr = _Arrays(t1, t2)
     cands = [(b1[0], b1[1], b2[0], b2[1]) for b1, b2 in all_disjoint_pairs(t1.n, t2.n)]
     vals = _batched_values(arr, *np.array(cands).T)
     i = int(np.argmin(vals))
@@ -434,13 +452,14 @@ def test_solver_never_beats_exhaustive_and_ties_on_rational_family():
 
 
 def test_arrays_pick_one_numeric_type(monkeypatch):
-    # integral exact input: int64, no scaling
-    arr = twin_arrays(*rational_pair(3, explicit=True))
-    assert arr.D1.dtype == np.int64 and arr.scale == 1
-    # fractional exact input: int64 scaled by the lcm of every denominator
+    # integral exact input: float64-held integers, no scaling
+    arr = _Arrays(*rational_pair(3, explicit=True))
+    assert arr.D1.dtype == np.float64 and arr.scale == 1
+    # fractional exact input: float64-held integers scaled by the lcm of
+    # every denominator
     t1, t2 = fractional_pair(4, explicit=True)
-    arr = twin_arrays(t1, t2)
-    assert arr.D1.dtype == arr.D2.dtype == arr.W.dtype == np.int64
+    arr = _Arrays(t1, t2)
+    assert arr.D1.dtype == arr.D2.dtype == arr.W.dtype == np.float64
     tab1 = build_distance_table(t1)
     dens = {x.denominator for row in tab1.dist for x in row}
     assert all(arr.scale % d == 0 for d in dens) and arr.scale > 1
@@ -448,18 +467,62 @@ def test_arrays_pick_one_numeric_type(monkeypatch):
                for i in range(t1.n) for j in range(t1.n))
     # denominators near 10**13: Python ints in an object array, still exact
     t1, t2 = big_denominator_pair(1)
-    arr = twin_arrays(t1, t2)
+    arr = _Arrays(t1, t2)
     assert arr.D1.dtype == arr.D2.dtype == arr.W.dtype == object
     assert all(type(x) is int for x in arr.W.flat)
     w = euclidean_distance(t1.points[0], t2.points[0])
     assert Fraction(arr.W[0, 0], arr.scale) == w
     # Fraction coordinates with float weights, float input, forced double
     for pair in (mixed_pair(2), float_pair(1)):
-        arr = twin_arrays(*pair)
+        arr = _Arrays(*pair)
         assert arr.D1.dtype == arr.W.dtype == np.float64 and arr.scale is None
     monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
-    arr = twin_arrays(*fractional_pair(4, explicit=True))
+    arr = _Arrays(*fractional_pair(4, explicit=True))
     assert arr.D1.dtype == np.float64 and arr.scale is None
+
+
+def scaled_bound_pair(top):
+    """Collinear trees on thirds whose largest scaled distance (scale 3) is
+    `top`, the cross distance between T1's vertex 0 and T2's vertex 0."""
+    x = Fraction(top, 3)
+    t1 = WeightedTree([(0, 0), (Fraction(1, 3), 0), (1, 0), (2, 0)], [(0, 1), (1, 2), (1, 3)])
+    t2 = WeightedTree([(x, 0), (x - 1, 0), (x - Fraction(4, 3), 0), (x - 2, 0)],
+                      [(0, 1), (1, 2), (0, 3)])
+    return t1, t2
+
+
+def exact_int_copy(t1, t2, arr):
+    """arr with D1, D2 and W as object arrays of Python ints, lifted from the
+    exact tables and cross distances, not from arr's own arrays."""
+    W = [[euclidean_distance(p, q) for q in t2.points] for p in t1.points]
+    out = copy.copy(arr)
+    out.D1, out.D2, out.W = (
+        np.array([[int(Fraction(x) * arr.scale) for x in row] for row in m], dtype=object)
+        for m in (arr.tab1.dist, arr.tab2.dist, W)
+    )
+    return out
+
+
+def test_float64_held_integers_score_as_exact_integers():
+    # below 2**40 every sum the searches form is an exact float64 integer;
+    # past it (the second bound pair) the arrays must hold Python ints
+    low, high = scaled_bound_pair(2**40 - 1), scaled_bound_pair(2**56 - 1)
+    arr = _Arrays(*low)
+    assert arr.W.dtype == np.float64 and arr.scale == 3 and arr.W.max() == 2**40 - 1
+    pairs = [fractional_pair(seed, seed % 2 == 0) for seed in range(8)]
+    pairs += [rational_pair(seed, seed % 2 == 0, sizes=(2, 8)) for seed in range(8)]
+    pairs += list(collinear_prufer_pairs(4))[::8]   # integers on a line, ties everywhere
+    for t1, t2 in pairs + [low, high]:
+        arr = _Arrays(t1, t2)
+        ref = exact_int_copy(t1, t2, arr)
+        cands = np.array([(*b1, *b2) for b1, b2 in all_disjoint_pairs(t1.n, t2.n)]).T
+        got, want = (_batched_values(a, *cands) for a in (arr, ref))
+        assert got.tolist() == want.tolist() and np.argmin(got) == np.argmin(want)
+        for t, tab, swap in ((t1, arr.tab1, False), (t2, arr.tab2, True)):
+            path = path_vertices(t, *tab.diameter_pair)
+            if len(path) >= 2:
+                assert _g_argmax(arr, path, swap=swap) == _g_argmax(ref, path, swap=swap)
+        assert solve_cases_12(t1, t2, _ctx=arr) == solve_cases_12(t1, t2, _ctx=ref)
 
 
 def test_backend_override_reports_double(monkeypatch):
@@ -499,8 +562,7 @@ def reference_cases_12(t1, t2):
     """The case 1-2 search pair by pair: for each deleted edge pair, each
     side's eccentricities from its own submatrix of the distance table,
     and each side pair's bridge the argmin over the sorted side indices."""
-    ctx = _context(t1, t2)
-    arr = ctx[2]
+    arr = _Arrays(t1, t2)
 
     def sides(t, e):
         u, v, _ = t.edges[e]
@@ -526,7 +588,7 @@ def reference_cases_12(t1, t2):
                 for flip in (0, 1)
             ]
             best = _lexmin(arr, cands, best)
-    return _finish(t1, t2, ctx, best[1:])
+    return _finish(t1, t2, arr, best[1:])
 
 
 def assert_cases_12_match_reference(pairs):
@@ -536,7 +598,7 @@ def assert_cases_12_match_reference(pairs):
 
 
 def test_case12_search_matches_pairwise_reference(monkeypatch):
-    # integer collinear trees: int64 arrays, ties everywhere
+    # integer collinear trees: float64-held integers, ties everywhere
     prufer = list(collinear_prufer_pairs(4))
     assert len(prufer) == 400
     assert_cases_12_match_reference(prufer)
@@ -545,7 +607,7 @@ def test_case12_search_matches_pairwise_reference(monkeypatch):
     exact = [fractional_pair(seed, seed % 2 == 0) for seed in range(12)]
     exact += [rational_pair(seed, seed % 2 == 0, sizes=(2, 9)) for seed in range(12)]
     big = [big_denominator_pair(seed) for seed in range(6)]
-    assert twin_arrays(*big[0]).D1.dtype == object
+    assert _Arrays(*big[0]).D1.dtype == object
     assert_cases_12_match_reference(floats + grids + exact + big)
     monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
     assert_cases_12_match_reference(grids[:30] + exact + big)
@@ -567,12 +629,12 @@ def test_case12_search_memory_is_bounded():
 
 
 def case34_argmaxes(t1, t2):
-    arr = twin_arrays(t1, t2)
+    arr = _Arrays(t1, t2)
     out = []
-    for t, swap, n_other in ((t1, False, t2.n), (t2, True, t1.n)):
+    for t, swap in ((t1, False), (t2, True)):
         path = path_vertices(t, *build_distance_table(t).diameter_pair)
         if len(path) >= 2:
-            out.append(_g_argmax(arr, path, n_other, swap=swap))
+            out.append(_g_argmax(arr, path, swap=swap))
     return out
 
 
