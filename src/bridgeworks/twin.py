@@ -12,10 +12,11 @@ convention p1 < p2.
 All shortest paths in T'' factor through the four bridge endpoints, so one
 term function, `_terms`, gives every pair's distance in closed form over
 the two tree distance tables, held as numpy arrays: float64 for inexact
-input, integers scaled by one common denominator for exact input (float64
-below 2**40, Python ints past that). The searches score candidates by its
-maximum; the evaluator reports its argmax, with the value recomputed from
-the tables at that pair.
+input, integers scaled by one common denominator for exact input (tables
+built over integer edge weights; float64 below 2**40, Python ints past
+that). The searches score candidates by its maximum; the evaluator
+reports its argmax, with the value recomputed at that pair from
+single-source sweeps of the input trees.
 """
 
 from __future__ import annotations
@@ -27,15 +28,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .bridge import _backend_of, _reported, _resolve_mode
+from .bridge import _backend_of, _reported, _resolve_mode, _tree_is_exact
 from .geometry import (
     WeightedTree,
     build_distance_table,
     euclidean_distance,
     path_vertices,
     segments_properly_cross,
+    single_source_tree_distances,
 )
-from .numerics import Number, is_exact
+from .numerics import Number
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,24 @@ def _check_bridges(t1: WeightedTree, t2: WeightedTree, b1, b2):
         raise ValueError(f"bridges must be vertex-disjoint, got {b1} and {b2}")
 
 
-def _detour(D, a, b, u, v, thr):
+def _sweep_distances(t: WeightedTree):
+    """d(x, y) in t's own number types, read from the single-source sweep
+    of min(x, y) as build_distance_table's mirrored entry is, so float
+    sums match the table to the last ulp; each sweep is made once."""
+    sweeps = {}
+
+    def d(x, y):
+        x, y = min(x, y), max(x, y)
+        if x not in sweeps:
+            sweeps[x] = single_source_tree_distances(t, x)
+        return sweeps[x][y]
+
+    return d
+
+
+def _detour(d, a, b, u, v, thr):
     """In-tree pair (a, b) routed out at u or v and back in at the other."""
-    return min(D[a][u] + thr + D[v][b], D[a][v] + thr + D[u][b])
+    return min(d(a, u) + thr + d(v, b), d(a, v) + thr + d(u, b))
 
 
 def evaluate_constrained_diameter(
@@ -104,19 +121,19 @@ def evaluate_constrained_diameter(
         if vals[i] > top:
             kind, top, a, b = name, vals[i], int(rows[i]), int(cols[i])
 
-    # the value again, from the tables at the witness: exact values keep
-    # their type (5 vs Fraction(5))
-    D1, D2 = arr.tab1.dist, arr.tab2.dist
+    # the value again, at the witness, from sweeps of the input trees: exact
+    # values keep their type (5 vs Fraction(5)), floats their last ulp
+    d1, d2 = _sweep_distances(t1), _sweep_distances(t2)
     w1 = euclidean_distance(t1.points[p1], t2.points[q1])
     w2 = euclidean_distance(t1.points[p2], t2.points[q2])
     if kind == "cross":
-        via1 = D1[a][p1] + w1 + D2[q1][b]
-        via2 = D1[a][p2] + w2 + D2[q2][b]
+        via1 = d1(a, p1) + w1 + d2(q1, b)
+        via2 = d1(a, p2) + w2 + d2(q2, b)
         return TwinEvaluation(_reported(min(via1, via2)), (a, b), kind, 1 if via1 <= via2 else 2)
     if kind == "t1":
-        value = _detour(D1, a, b, p1, p2, w1 + D2[q1][q2] + w2)
+        value = _detour(d1, a, b, p1, p2, w1 + d2(q1, q2) + w2)
         return TwinEvaluation(_reported(value), (a, b), kind, 3)
-    value = _detour(D2, a, b, q1, q2, w1 + D1[p1][p2] + w2)
+    value = _detour(d2, a, b, q1, q2, w1 + d1(p1, p2) + w2)
     return TwinEvaluation(_reported(value), (a, b), kind, 4)
 
 
@@ -124,43 +141,95 @@ def evaluate_constrained_diameter(
 # Shared numeric scaffolding
 
 
+def _scaled_cross_distances(t1: WeightedTree, t2: WeightedTree):
+    """(c, R) for trees with exact coordinates: R[p][q] = c * |pq| as an int
+    for p in t1 and q in t2, c the lcm of every coordinate's denominator,
+    from the coordinates lifted to ints and isqrt. None when some |pq| is
+    not rational, where euclidean_distance gives a float."""
+    pts = (*t1.points, *t2.points)
+    c = math.lcm(*{v.denominator for p in pts for v in p})
+    X1, X2 = (
+        [(x.numerator * (c // x.denominator), y.numerator * (c // y.denominator))
+         for x, y in t.points]
+        for t in (t1, t2)
+    )
+    R = []
+    for px, py in X1:
+        row = []
+        for qx, qy in X2:
+            dx, dy = abs(px - qx), abs(py - qy)
+            if dx and dy:
+                sq = dx * dx + dy * dy
+                r = math.isqrt(sq)
+                if r * r != sq:
+                    return None
+            else:
+                r = dx + dy
+            row.append(r)
+        R.append(row)
+    return c, R
+
+
 class _Arrays:
-    """The search context: both distance tables (tab1, tab2) and, as numpy
-    arrays of one type, their entries and the cross distances (D1, D2, W).
-    Trees under 2 vertices raise ValueError. Inexact input (any float among
-    D1, D2 and W), or BRIDGEWORKS_BACKEND=double, gives float64; as for the
-    single bridge, BRIDGEWORKS_BACKEND=rational on inexact trees raises
-    ValueError. Exact input is multiplied by `scale`, the lcm of every
-    denominator, and stored as integers: float64 while the scaled
-    magnitudes stay below 2**40 (sums of up to five, the most the searches
-    form, are then exact integers below 2**53), Python ints in an object
-    array past that. They order exactly as the exact values do; v stands
-    for Fraction(v, scale). `scale` is None on inexact input. upper1 and
-    upper2 index the vertex pairs a < b of each tree, row by row.
+    """The search context: as numpy arrays of one type, both trees' distance
+    tables and the cross distances (D1, D2, W), plus each tree's lex-min
+    diameter pair (diameter_pairs). Trees under 2 vertices raise ValueError.
+
+    Exact input (every edge weight and every cross distance an int or
+    Fraction) is multiplied by `scale`, the lcm of their denominators: the
+    edge weights are lifted to ints first, so the tables are int sums, and
+    the cross distances come from integer coordinates. The arrays hold
+    those integers as float64 while the scaled magnitudes stay below 2**40
+    (sums of up to five, the most the searches form, are then exact
+    integers below 2**53), Python ints in an object array past that; they
+    order exactly as the exact values do, and v stands for
+    Fraction(v, scale). Under BRIDGEWORKS_BACKEND=double each integer v
+    becomes the float v / scale, the correctly rounded exact value. Inexact
+    input (any float weight or cross distance) gives float64 tables built
+    in the input's own arithmetic; as for the single bridge,
+    BRIDGEWORKS_BACKEND=rational on inexact trees raises ValueError.
+    `scale` is None on float64 values. upper1 and upper2 index the vertex
+    pairs a < b of each tree, row by row.
     """
 
     def __init__(self, t1: WeightedTree, t2: WeightedTree):
         if t1.n < 2 or t2.n < 2:
             raise ValueError("twin bridges need at least 2 vertices in each tree")
-        self.tab1 = build_distance_table(t1)
-        self.tab2 = build_distance_table(t2)
-        W = [
-            [euclidean_distance(p, q) for q in t2.points]
-            for p in t1.points
-        ]
-        tables = (self.tab1.dist, self.tab2.dist, W)
-        flat = [x for m in tables for row in m for x in row]
-        if _resolve_mode(t1, t2) == "double" or not all(is_exact(x) for x in flat):
-            self.scale = None
-            dtype, lift = np.float64, float
+        double = _resolve_mode(t1, t2) == "double"
+        cross = None
+        if _tree_is_exact(t1) and _tree_is_exact(t2):
+            cross = _scaled_cross_distances(t1, t2)
+        self.scale = None
+        if cross is not None:
+            c, R = cross
+            scale = math.lcm(
+                *{w.denominator for t in (t1, t2) for _, _, w in t.edges},
+                *{c // math.gcd(r, c) for row in R for r in row},
+            )
+            tabs = [
+                build_distance_table(WeightedTree(
+                    t.points,
+                    [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in t.edges],
+                    explicit_weights=True,
+                ))
+                for t in (t1, t2)
+            ]
+            W = [[r * scale // c for r in row] for row in R]
+            if double:
+                dtype, conv = np.float64, lambda v: v / scale  # noqa: E731
+            else:
+                self.scale, conv = scale, None
+                top = max(tabs[0].diameter, tabs[1].diameter, max(map(max, W)))
+                dtype = np.float64 if top < 2**40 else object
         else:
-            scale = self.scale = math.lcm(*{x.denominator for x in flat})
-            lift = lambda x: x.numerator * (scale // x.denominator)  # noqa: E731
-            dtype = np.float64 if max(abs(x) for x in flat) * scale < 2**40 else object
-        self.D1, self.D2, self.W = (
-            np.array([[lift(x) for x in row] for row in m], dtype=dtype)
-            for m in tables
-        )
+            W = [[euclidean_distance(p, q) for q in t2.points] for p in t1.points]
+            tabs = [build_distance_table(t1), build_distance_table(t2)]
+            dtype, conv = np.float64, float
+        tables = (tabs[0].dist, tabs[1].dist, W)
+        if conv is not None:
+            tables = ([[conv(x) for x in row] for row in m] for m in tables)
+        self.D1, self.D2, self.W = (np.array(m, dtype=dtype) for m in tables)
+        self.diameter_pairs = (tabs[0].diameter_pair, tabs[1].diameter_pair)
         self.upper1 = np.triu_indices(t1.n, 1)
         self.upper2 = np.triu_indices(t2.n, 1)
 
@@ -370,8 +439,8 @@ def solve_cases_34(
     """
     arr = _ctx if _ctx is not None else _Arrays(t1, t2)
     cands = []
-    for t, tab, swap in ((t1, arr.tab1, False), (t2, arr.tab2, True)):
-        path = path_vertices(t, *tab.diameter_pair)
+    for t, pair, swap in zip((t1, t2), arr.diameter_pairs, (False, True)):
+        path = path_vertices(t, *pair)
         if len(path) < 2:
             continue
         p1, q1, p2, q2 = _g_argmax(arr, path, swap=swap)
@@ -388,7 +457,7 @@ def solve_twin(t1: WeightedTree, t2: WeightedTree) -> TwinBridgeSolution:
     """
     arr = _Arrays(t1, t2)
     s12 = solve_cases_12(t1, t2, _ctx=arr)
-    if all(x == z for x, z in (arr.tab1.diameter_pair, arr.tab2.diameter_pair)):
+    if all(x == z for x, z in arr.diameter_pairs):
         return s12  # no diameter path of >= 2 vertices: cases 3-4 are empty
     s34 = solve_cases_34(t1, t2, _ctx=arr)
     return min(s12, s34, key=lambda s: (s.value, *s.tuple4))  # s12 on ties

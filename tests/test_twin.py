@@ -165,6 +165,48 @@ def mixed_pair(seed):
     return mk(rng.randint(3, 7), 0), mk(rng.randint(3, 7), 100)
 
 
+def int_fraction_pair(seed):
+    """Collinear integer points with explicit weights that are ints on some
+    edges and Fractions (k/1 or k/2) on others, 0 included: a distance is
+    an int or a Fraction depending on the path, 5 or Fraction(5)."""
+    rng = random.Random(seed)
+    def mk(n, x0):
+        pts = [(x0 + x, 0) for x in rng.sample(range(60), n)]
+        edges = [(rng.randrange(i), i, rng.choice((rng.randint(0, 6),
+                                                    Fraction(rng.randint(0, 12), rng.choice((1, 2))))))
+                 for i in range(1, n)]
+        return WeightedTree(pts, edges, explicit_weights=True)
+    return mk(rng.randint(2, 8), 0), mk(rng.randint(2, 8), 100)
+
+
+def slanted_pair(seed):
+    """Both trees on the line 4x = 3y with x = k/d, d in {1, 2, 3}: every
+    distance is exact (5/3 of the x gap) but no segment is axis-aligned,
+    and on even seeds one T1 vertex sits off the line, so some of its
+    cross distances are irrational."""
+    rng = random.Random(seed)
+    def mk(n, x0):
+        xs = {Fraction(rng.randrange(x0 * 6, (x0 + 30) * 6), rng.choice((1, 2, 3))) for _ in range(n)}
+        pts = [(x, x * Fraction(4, 3)) for x in xs]
+        return WeightedTree(pts, [(rng.randrange(i), i) for i in range(1, len(pts))])
+    t1, t2 = mk(rng.randint(2, 8), 0), mk(rng.randint(2, 8), 200)
+    if seed % 2 == 0:
+        t1 = WeightedTree([*t1.points, (t1.points[0].x, t1.points[0].y + 1)],
+                          [*t1.edges, (0, t1.n)])
+    return t1, t2
+
+
+def zero_weight_pair(seed):
+    """Explicit weights in {0, 1/3, 2/3}, mostly 0: long runs of tied
+    distances and tied diameter pairs."""
+    rng = random.Random(seed)
+    def mk(n, x0):
+        edges = [(rng.randrange(i), i, rng.choice((0, 0, 0, Fraction(1, 3), Fraction(2, 3))))
+                 for i in range(1, n)]
+        return WeightedTree([(x0 + i, 0) for i in range(n)], edges, explicit_weights=True)
+    return mk(rng.randint(2, 8), 0), mk(rng.randint(2, 8), 20)
+
+
 def tied_groups_pair():
     """With bridges (0,0) and (1,1) the T1 pair (0,1) detours at 3 + 1 + 3 = 7,
     below its in-tree 10, and the cross pair (1,2) is 3 + 1 + 3 = 7 too:
@@ -279,34 +321,47 @@ def test_evaluator_rejects_bad_bridges(b1, b2, message):
 
 
 def test_evaluator_witness_realizes_value():
+    # the value recomputed from build_distance_table at the reported
+    # witness: equal, of the same type (5 vs Fraction(5)) and, on floats,
+    # the same bits; a same-tree witness beats its in-tree distance
+    cases = []
     for seed in range(20):
         t1, t2 = rational_pair(seed, explicit=False)
         sol = brute_force_twin(t1, t2)
-        ev = evaluate_constrained_diameter(t1, t2, sol.bridge1, sol.bridge2)
-        a, b = ev.witness
-        tab1 = build_distance_table(t1)
-        tab2 = build_distance_table(t2)
-        p1, q1 = sol.bridge1
-        p2, q2 = sol.bridge2
-        w1 = euclidean_distance(t1.points[p1], t2.points[q1])
-        w2 = euclidean_distance(t1.points[p2], t2.points[q2])
-        if ev.witness_kind == "cross":
-            via1 = tab1.dist[a][p1] + w1 + tab2.dist[q1][b]
-            via2 = tab1.dist[a][p2] + w2 + tab2.dist[q2][b]
-            assert min(via1, via2) == ev.value
-            assert (ev.dominant_case == 1) == (via1 <= via2)
-        elif ev.witness_kind == "t1":
-            thr = w1 + tab2.dist[q1][q2] + w2
-            alt = min(tab1.dist[a][p1] + thr + tab1.dist[p2][b],
-                      tab1.dist[a][p2] + thr + tab1.dist[p1][b])
-            assert alt == ev.value < tab1.dist[a][b]
-            assert ev.dominant_case == 3
-        else:
-            thr = w1 + tab1.dist[p1][p2] + w2
-            alt = min(tab2.dist[a][q1] + thr + tab2.dist[q2][b],
-                      tab2.dist[a][q2] + thr + tab2.dist[q1][b])
-            assert alt == ev.value < tab2.dist[a][b]
-            assert ev.dominant_case == 4
+        cases.append((t1, t2, [(sol.bridge1, sol.bridge2)]))
+    pairs = [float_pair(seed, n_max=12) for seed in range(40)]
+    pairs += [grid_pair(seed) for seed in range(20)]
+    pairs += [fractional_pair(seed, seed % 2 == 0) for seed in range(10)]
+    pairs += [int_fraction_pair(seed) for seed in range(20)]
+    pairs += [slanted_pair(seed) for seed in range(10)]
+    pairs += [big_denominator_pair(seed) for seed in range(4)]
+    rng = random.Random(3)
+    for t1, t2 in pairs:
+        bridges = list(all_disjoint_pairs(t1.n, t2.n))
+        cases.append((t1, t2, rng.sample(bridges, min(15, len(bridges)))))
+    for t1, t2, bridges in cases:
+        D1, D2 = build_distance_table(t1).dist, build_distance_table(t2).dist
+        for (p1, q1), (p2, q2) in bridges:
+            ev = evaluate_constrained_diameter(t1, t2, (p1, q1), (p2, q2))
+            a, b = ev.witness
+            w1 = euclidean_distance(t1.points[p1], t2.points[q1])
+            w2 = euclidean_distance(t1.points[p2], t2.points[q2])
+            if ev.witness_kind == "cross":
+                via1 = D1[a][p1] + w1 + D2[q1][b]
+                via2 = D1[a][p2] + w2 + D2[q2][b]
+                want = min(via1, via2)
+                assert ev.dominant_case == (1 if via1 <= via2 else 2)
+            elif ev.witness_kind == "t1":
+                thr = w1 + D2[q1][q2] + w2
+                want = min(D1[a][p1] + thr + D1[p2][b], D1[a][p2] + thr + D1[p1][b])
+                assert want < D1[a][b] and ev.dominant_case == 3
+            else:
+                thr = w1 + D1[p1][p2] + w2
+                want = min(D2[a][q1] + thr + D2[q2][b], D2[a][q2] + thr + D2[q1][b])
+                assert want < D2[a][b] and ev.dominant_case == 4
+            assert ev.value == want and type(ev.value) is type(want), (p1, q1, p2, q2)
+            if isinstance(want, float):
+                assert ev.value.hex() == want.hex(), (p1, q1, p2, q2)
 
 
 def test_zero_diameter_trees_take_the_case_12_result():
@@ -472,8 +527,9 @@ def test_arrays_pick_one_numeric_type(monkeypatch):
     assert all(type(x) is int for x in arr.W.flat)
     w = euclidean_distance(t1.points[0], t2.points[0])
     assert Fraction(arr.W[0, 0], arr.scale) == w
-    # Fraction coordinates with float weights, float input, forced double
-    for pair in (mixed_pair(2), float_pair(1)):
+    # Fraction coordinates with float weights, float input, an irrational
+    # cross distance, forced double
+    for pair in (mixed_pair(2), float_pair(1), slanted_pair(0)):
         arr = _Arrays(*pair)
         assert arr.D1.dtype == arr.W.dtype == np.float64 and arr.scale is None
     monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
@@ -491,19 +547,25 @@ def scaled_bound_pair(top):
     return t1, t2
 
 
-def exact_int_copy(t1, t2, arr):
-    """arr with D1, D2 and W as object arrays of Python ints, lifted from the
-    exact tables and cross distances, not from arr's own arrays."""
+def exact_tables(t1, t2):
+    """Both trees' build_distance_table entries and the cross distances, in
+    the input's own arithmetic, independent of _Arrays."""
     W = [[euclidean_distance(p, q) for q in t2.points] for p in t1.points]
+    return build_distance_table(t1).dist, build_distance_table(t2).dist, W
+
+
+def exact_int_copy(t1, t2, arr):
+    """arr with D1, D2 and W as object arrays of Python ints, lifted by
+    arr.scale from exact_tables, not from arr's own arrays."""
     out = copy.copy(arr)
     out.D1, out.D2, out.W = (
         np.array([[int(Fraction(x) * arr.scale) for x in row] for row in m], dtype=object)
-        for m in (arr.tab1.dist, arr.tab2.dist, W)
+        for m in exact_tables(t1, t2)
     )
     return out
 
 
-def test_float64_held_integers_score_as_exact_integers():
+def test_float64_held_integers_score_as_exact_integers(monkeypatch):
     # below 2**40 every sum the searches form is an exact float64 integer;
     # past it (the second bound pair) the arrays must hold Python ints
     low, high = scaled_bound_pair(2**40 - 1), scaled_bound_pair(2**56 - 1)
@@ -512,17 +574,38 @@ def test_float64_held_integers_score_as_exact_integers():
     pairs = [fractional_pair(seed, seed % 2 == 0) for seed in range(8)]
     pairs += [rational_pair(seed, seed % 2 == 0, sizes=(2, 8)) for seed in range(8)]
     pairs += list(collinear_prufer_pairs(4))[::8]   # integers on a line, ties everywhere
+    pairs += [slanted_pair(seed) for seed in range(1, 12, 2)]
     for t1, t2 in pairs + [low, high]:
         arr = _Arrays(t1, t2)
         ref = exact_int_copy(t1, t2, arr)
         cands = np.array([(*b1, *b2) for b1, b2 in all_disjoint_pairs(t1.n, t2.n)]).T
         got, want = (_batched_values(a, *cands) for a in (arr, ref))
         assert got.tolist() == want.tolist() and np.argmin(got) == np.argmin(want)
-        for t, tab, swap in ((t1, arr.tab1, False), (t2, arr.tab2, True)):
-            path = path_vertices(t, *tab.diameter_pair)
+        for t, swap in ((t1, False), (t2, True)):
+            path = path_vertices(t, *build_distance_table(t).diameter_pair)
             if len(path) >= 2:
                 assert _g_argmax(arr, path, swap=swap) == _g_argmax(ref, path, swap=swap)
         assert solve_cases_12(t1, t2, _ctx=arr) == solve_cases_12(t1, t2, _ctx=ref)
+    # forced double on exact input: every entry is the exact value rounded
+    # once, float(exact entry)
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    for t1, t2 in pairs[:16] + pairs[-6:] + [low, high, big_denominator_pair(1)]:
+        arr = _Arrays(t1, t2)
+        assert arr.D1.dtype == arr.D2.dtype == arr.W.dtype == np.float64 and arr.scale is None
+        for got, want in zip((arr.D1, arr.D2, arr.W), exact_tables(t1, t2)):
+            assert got.tolist() == [[float(x) for x in row] for row in want]
+
+
+def test_integer_tables_keep_the_diameter_pair(monkeypatch):
+    # cases 3-4 search along the diameter path between this pair
+    pairs = list(collinear_prufer_pairs(4))
+    pairs += [zero_weight_pair(seed) for seed in range(60)]
+    pairs += [int_fraction_pair(seed) for seed in range(20)]
+    pairs += [big_denominator_pair(seed) for seed in range(4)]
+    want = [tuple(build_distance_table(t).diameter_pair for t in pair) for pair in pairs]
+    assert [_Arrays(*pair).diameter_pairs for pair in pairs] == want
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    assert [_Arrays(*pair).diameter_pairs for pair in pairs[::7]] == want[::7]
 
 
 def test_backend_override_reports_double(monkeypatch):
