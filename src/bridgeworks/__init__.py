@@ -23,7 +23,6 @@ from .geometry import (
     path_vertices,
     segments_intersect,
     segments_properly_cross,
-    tree_diameter,
     validate_planar,
 )
 from .bridge import (
@@ -84,7 +83,6 @@ __all__ = [
     "path_vertices",
     "segments_intersect",
     "segments_properly_cross",
-    "tree_diameter",
     "validate_planar",
     "BridgeSolution",
     "DecisionWitness",

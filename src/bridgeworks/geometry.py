@@ -186,14 +186,12 @@ def tree_eccentricities(tree: WeightedTree) -> Eccentricities:
     With nonnegative weights, a (the lex-min farthest vertex from 0) and b
     (the lex-min farthest vertex from a) end a diameter, and every vertex's
     farthest distance is to one of them: ecc(v) = max(d(v, a), d(v, b)).
-    On exact input the values equal build_distance_table's; float sums may
-    differ from its entries in the last ulp.
-
-    An entry is a distance to a or b, so with mixed int and Fraction weights
-    it can be Fraction(5) where the table, which measures to v's lex-min
-    farthest vertex, has 5; reports print the two differently. The
-    diameter keeps the table's type: the lex-min end of a diameter is a or
-    b, and the other of the two is its lex-min farthest vertex.
+    On exact input ecc(v) equals the maximum of build_distance_table's row
+    v, and the diameter equals the table's, type included (the lex-min end
+    of a diameter is a or b, and the other is its lex-min farthest vertex).
+    An ecc(v) is a distance to a or b, so with mixed int and Fraction
+    weights it can be Fraction(5) where the row's first maximum is 5.
+    Float sums may differ from the rows in the last ulp.
     """
     _, a = first_argmax(single_source_tree_distances(tree, 0))
     da = single_source_tree_distances(tree, a)
@@ -204,82 +202,32 @@ def tree_eccentricities(tree: WeightedTree) -> Eccentricities:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """All-pairs tree distances with per-vertex eccentricities."""
+    """All-pairs tree distances and the diameter."""
 
     dist: tuple[tuple[Number, ...], ...]
-    ecc: tuple[Number, ...]
-    farthest: tuple[int, ...]          # lex-min argmax of each row
     diameter: Number
     diameter_pair: tuple[int, int]     # lex-min (x, z), x <= z
-
-    @property
-    def n(self) -> int:
-        return len(self.ecc)
 
 
 def build_distance_table(tree: WeightedTree) -> DistanceTable:
     n = tree.n
-    rows = []
-    ecc = []
-    far = []
     raw = [single_source_tree_distances(tree, s) for s in range(n)]
     # float path sums depend on accumulation order, so d(x,z) and d(z,x)
     # can differ in the last ulp; mirror the upper triangle to keep the
-    # metric symmetric before eccentricities are derived from it
+    # metric symmetric
     for x in range(n):
         for z in range(x + 1, n):
             raw[z][x] = raw[x][z]
-    for s in range(n):
-        row = raw[s]
-        best, arg = first_argmax(row)
-        rows.append(tuple(row))
-        ecc.append(best)
-        far.append(arg)
-    diam = max(ecc)
-    # lex-min (x, z) with x <= z realizing the diameter; the first vertex
-    # whose ecc equals diam only has partners above it, so scanning up works
-    pair = None
-    for x in range(n):
-        if ecc[x] != diam:
-            continue
-        row = rows[x]
-        for z in range(x, n):
-            if row[z] == diam:
-                pair = (x, z)
-                break
-        break
-    return DistanceTable(
-        dist=tuple(rows),
-        ecc=tuple(ecc),
-        farthest=tuple(far),
-        diameter=diam,
-        diameter_pair=pair,
-    )
+    diam = max(map(max, raw))
+    # lex-min (x, z) with x <= z realizing the diameter: the first row
+    # holding it has no partner below its diagonal
+    x = next(x for x, row in enumerate(raw) if diam in row)
+    return DistanceTable(tuple(map(tuple, raw)), diam, (x, raw[x].index(diam, x)))
 
 
-def tree_diameter(tree: WeightedTree) -> tuple[Number, int, int]:
-    """(diameter, x, z) with (x, z) the lex-min endpoint pair, O(n).
-
-    a (the lex-min farthest vertex from 0) and b (the lex-min farthest from
-    a) are the lex-min diameter end and its lex-min partner, in some order.
-    The value is read from x's sweep, as build_distance_table's mirrored
-    entry is; on float input a last-ulp tie may pick another pair.
-    """
-    _, a = first_argmax(single_source_tree_distances(tree, 0))
-    da = single_source_tree_distances(tree, a)
-    _, b = first_argmax(da)
-    if b < a:
-        a, b, da = b, a, single_source_tree_distances(tree, b)
-    return da[b], a, b
-
-
-def center_vertex(table: DistanceTable | Eccentricities) -> int:
+def center_vertex(eccs: Eccentricities) -> int:
     """Lex-min vertex of minimum eccentricity."""
-    best = min(table.ecc)
-    for i, e in enumerate(table.ecc):
-        if e == best:
-            return i
-    raise AssertionError("unreachable")
+    return eccs.ecc.index(min(eccs.ecc))
 
 
 def path_vertices(tree: WeightedTree, a: int, b: int) -> list[int]:

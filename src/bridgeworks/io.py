@@ -318,8 +318,8 @@ def gen_random_tree(
         raise ValueError("bbox must satisfy x0 <= x1 and y0 <= y1")
     rng = random.Random(seed)
     if grid:
-        xs = range(int(x0), int(x1) + 1)
-        ys = range(int(y0), int(y1) + 1)
+        xs = range(math.ceil(x0), math.floor(x1) + 1)
+        ys = range(math.ceil(y0), math.floor(y1) + 1)
         capacity = len(xs) * len(ys)
         if capacity < n:
             raise ValueError(f"grid bbox holds {capacity} lattice points, need {n}")
@@ -329,8 +329,8 @@ def gen_random_tree(
         else:
             chosen: set[tuple[int, int]] = set()
             while len(chosen) < n:
-                chosen.add((rng.randrange(int(x0), int(x1) + 1),
-                            rng.randrange(int(y0), int(y1) + 1)))
+                chosen.add((rng.randrange(xs.start, xs.stop),
+                            rng.randrange(ys.start, ys.stop)))
             points = sorted(chosen)
             rng.shuffle(points)
     else:

@@ -199,7 +199,8 @@ class _Arrays:
         cross = None
         if _tree_is_exact(t1) and _tree_is_exact(t2):
             cross = _scaled_cross_distances(t1, t2)
-        self.scale = None
+        self.scale = conv = None
+        dtype = np.float64
         if cross is not None:
             c, R = cross
             scale = math.lcm(
@@ -216,15 +217,14 @@ class _Arrays:
             ]
             W = [[r * scale // c for r in row] for row in R]
             if double:
-                dtype, conv = np.float64, lambda v: v / scale  # noqa: E731
+                conv = lambda v: v / scale  # noqa: E731
             else:
-                self.scale, conv = scale, None
+                self.scale = scale
                 top = max(tabs[0].diameter, tabs[1].diameter, max(map(max, W)))
                 dtype = np.float64 if top < 2**40 else object
         else:
             W = [[euclidean_distance(p, q) for q in t2.points] for p in t1.points]
             tabs = [build_distance_table(t1), build_distance_table(t2)]
-            dtype, conv = np.float64, float
         tables = (tabs[0].dist, tabs[1].dist, W)
         if conv is not None:
             tables = ([[conv(x) for x in row] for row in m] for m in tables)

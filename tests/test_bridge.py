@@ -20,7 +20,6 @@ from bridgeworks import (
     WeightedTree,
     approx_greedy,
     build_distance_table,
-    center_vertex,
     connect_forest,
     euclidean_distance,
     gen_random_tree,
@@ -108,25 +107,33 @@ def test_solve_exact_matches_oracle_float():
         assert sol.backend == "double"
 
 
+def row_eccentricities(tab):
+    """Each vertex's eccentricity and lex-min farthest vertex, read from the
+    all-pairs rows."""
+    ecc = [max(row) for row in tab.dist]
+    return ecc, [row.index(e) for row, e in zip(tab.dist, ecc)]
+
+
 def test_bridge_solution_invariants():
     for seed in range(30):
         t1, t2 = rational_pair(seed, n_max=9)
         sol = solve_exact(t1, t2)
         tab1 = build_distance_table(t1)
         tab2 = build_distance_table(t2)
-        assert sol.value == tab1.ecc[sol.p] + sol.bridge_length + tab2.ecc[sol.q]
+        (ecc1, _), (ecc2, _) = row_eccentricities(tab1), row_eccentricities(tab2)
+        assert sol.value == ecc1[sol.p] + sol.bridge_length + ecc2[sol.q]
         assert sol.bridge_length == euclidean_distance(t1.points[sol.p], t2.points[sol.q])
         x, y = sol.witness
-        assert tab1.dist[x][sol.p] == tab1.ecc[sol.p]
-        assert tab2.dist[sol.q][y] == tab2.ecc[sol.q]
+        assert tab1.dist[x][sol.p] == ecc1[sol.p]
+        assert tab2.dist[sol.q][y] == ecc2[sol.q]
         # witnesses are the first vertices attaining the eccentricities
-        assert all(tab1.dist[u][sol.p] < tab1.ecc[sol.p] for u in range(x))
-        assert all(tab2.dist[sol.q][v] < tab2.ecc[sol.q] for v in range(y))
+        assert all(tab1.dist[u][sol.p] < ecc1[sol.p] for u in range(x))
+        assert all(tab2.dist[sol.q][v] < ecc2[sol.q] for v in range(y))
         assert sol.merged_diameter == max(tab1.diameter, tab2.diameter, sol.value)
         # no bridge beats the reported optimum
         for p in range(t1.n):
             for q in range(t2.n):
-                f = tab1.ecc[p] + euclidean_distance(t1.points[p], t2.points[q]) + tab2.ecc[q]
+                f = ecc1[p] + euclidean_distance(t1.points[p], t2.points[q]) + ecc2[q]
                 assert sol.value <= f
 
 
@@ -134,19 +141,21 @@ def table_answers(t1, t2):
     """What the solvers report, computed from the all-pairs tables; value
     types included, since reports print 5 and Fraction(5) differently."""
     tab1, tab2 = build_distance_table(t1), build_distance_table(t2)
+    (ecc1, far1), (ecc2, far2) = row_eccentricities(tab1), row_eccentricities(tab2)
     _, p, q = min(
-        (tab1.ecc[p] + euclidean_distance(t1.points[p], t2.points[q]) + tab2.ecc[q], p, q)
+        (ecc1[p] + euclidean_distance(t1.points[p], t2.points[q]) + ecc2[q], p, q)
         for p in range(t1.n) for q in range(t2.n)
     )
     gp, gq, _ = _closest_pair_scan(t1.points, t2.points)
     out = {}
     for method, p, q in (("exact", p, q), ("greedy", gp, gq)):
         blen = euclidean_distance(t1.points[p], t2.points[q])
-        val = tab1.ecc[p] + blen + tab2.ecc[q]
+        val = ecc1[p] + blen + ecc2[q]
         out[method] = (p, q, blen, val, max(tab1.diameter, tab2.diameter, val),
-                       (tab1.farthest[p], tab2.farthest[q]), method, "rational")
-    c1, c2 = center_vertex(tab1), center_vertex(tab2)
-    cross = tab1.ecc[c1] + euclidean_distance(t1.points[c1], t2.points[c2]) + tab2.ecc[c2]
+                       (far1[p], far2[q]), method, "rational")
+    # the centers: the first rows with the smallest row maximum
+    c1, c2 = ecc1.index(min(ecc1)), ecc2.index(min(ecc2))
+    cross = ecc1[c1] + euclidean_distance(t1.points[c1], t2.points[c2]) + ecc2[c2]
     out["forest"] = (((1, c2, 0, c1),), max(max(tab1.diameter, tab2.diameter), cross), 0)
     return out
 

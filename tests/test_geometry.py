@@ -24,7 +24,6 @@ from bridgeworks import (
     path_vertices,
     segments_intersect,
     segments_properly_cross,
-    tree_diameter,
     validate_planar,
 )
 from bridgeworks.geometry import first_argmax, single_source_tree_distances, tree_eccentricities
@@ -109,26 +108,37 @@ def test_path_distance_equals_sum_of_edge_weights():
                 assert math.isclose(float(total), float(table.dist[a][b]), rel_tol=1e-12, abs_tol=1e-12)
 
 
+def row_eccentricities(table):
+    """Each vertex's eccentricity, lex-min farthest vertex and the lex-min
+    center, read from the all-pairs rows."""
+    ecc = [max(row) for row in table.dist]
+    far = [row.index(e) for row, e in zip(table.dist, ecc)]
+    return ecc, far, ecc.index(min(ecc))
+
+
+def lex_min_diameter_pair(table):
+    n = len(table.dist)
+    return min((x, z) for x in range(n) for z in range(x, n)
+               if table.dist[x][z] == table.diameter)
+
+
 def test_eccentricity_diameter_center_consistency():
     rng = random.Random(13)
     for _ in range(40):
         tree = random_tree(rng, rng.randint(2, 12), "float")
         table = build_distance_table(tree)
-        n = tree.n
-        for v in range(n):
+        ecc, far, c = row_eccentricities(table)
+        for v in range(tree.n):
             row = table.dist[v]
-            assert table.ecc[v] == max(row)
-            # farthest is the first argmax
-            assert row[table.farthest[v]] == table.ecc[v]
-            assert all(row[u] < table.ecc[v] for u in range(table.farthest[v]))
-        assert table.diameter == max(table.ecc)
+            # far is the first argmax
+            assert row[far[v]] == ecc[v]
+            assert all(row[u] < ecc[v] for u in range(far[v]))
+        assert table.diameter == max(ecc)
         x, z = table.diameter_pair
         assert x <= z and table.dist[x][z] == table.diameter
-        d, a, b = tree_diameter(tree)
-        assert (d, a, b) == (table.diameter, x, z)
-        c = center_vertex(table)
-        assert table.ecc[c] == min(table.ecc)
-        assert all(table.ecc[u] > table.ecc[c] for u in range(c))
+        assert (x, z) == lex_min_diameter_pair(table)
+        assert ecc[c] == min(ecc)
+        assert all(ecc[u] > ecc[c] for u in range(c))
 
 
 def test_sweep_eccentricities_equal_the_table_on_exact_input():
@@ -138,16 +148,16 @@ def test_sweep_eccentricities_equal_the_table_on_exact_input():
     trees += [mixed_weight_tree(rng, rng.randint(2, 9)) for _ in range(300)]
     for tree in trees:
         table = build_distance_table(tree)
+        ecc, far, c = row_eccentricities(table)
         sweep = tree_eccentricities(tree)
-        assert sweep.ecc == list(table.ecc)
+        assert sweep.ecc == ecc
         # reports print the diameter, so its type must match too
         assert (sweep.diameter, type(sweep.diameter)) == (table.diameter, type(table.diameter))
-        assert center_vertex(sweep) == center_vertex(table)
-        d, x, z = tree_diameter(tree)
-        assert (d, type(d), (x, z)) == (table.diameter, type(table.diameter), table.diameter_pair)
+        assert center_vertex(sweep) == c
+        assert table.diameter_pair == lex_min_diameter_pair(table)
         for v in range(tree.n):
-            ecc, far = first_argmax(single_source_tree_distances(tree, v))
-            assert (ecc, type(ecc), far) == (table.ecc[v], type(table.ecc[v]), table.farthest[v])
+            e, f = first_argmax(single_source_tree_distances(tree, v))
+            assert (e, type(e), f) == (ecc[v], type(ecc[v]), far[v])
 
 
 def test_diameter_pair_is_lex_min():
@@ -161,7 +171,6 @@ def test_diameter_pair_is_lex_min():
     table = build_distance_table(star)
     assert table.diameter == 10
     assert table.diameter_pair == (1, 2)  # first pair realizing 10
-    assert tree_diameter(star) == (10, 1, 2)
 
 
 def test_exact_inputs_stay_exact():
@@ -337,3 +346,27 @@ def test_gen_random_tree_is_deterministic_and_valid():
     w = gen_random_tree(8, 5, explicit_weight_range=(3, 9))
     assert w.explicit_weights
     assert all(3 <= e[2] <= 9 for e in w.edges)
+
+
+def test_grid_sampling_stays_inside_a_fractional_bbox():
+    # both sampling branches: the whole lattice (small boxes) and rejection
+    # sampling (a box far larger than 4 n^2 points)
+    for bbox, n in (((0.5, 0.5, 3.5, 3.5), 9), ((-3.5, -2.5, -0.5, 0.5), 9),
+                    ((Fraction(1, 3), 0, Fraction(20, 3), Fraction(5, 2)), 18),
+                    ((0.5, 0.5, 1000.5, 1000.5), 30), ((-900.5, -0.5, -0.5, 900.5), 30)):
+        x0, y0, x1, y1 = bbox
+        for seed in range(5):
+            g = gen_random_tree(n, seed, grid=True, bbox=bbox)
+            assert len(set(g.points)) == n
+            assert all(type(p.x) is int and type(p.y) is int for p in g.points)
+            assert all(x0 <= p.x <= x1 and y0 <= p.y <= y1 for p in g.points)
+    with pytest.raises(ValueError, match="holds 0 lattice points"):
+        gen_random_tree(1, 0, grid=True, bbox=(0.5, 0, 0.9, 0))
+    with pytest.raises(ValueError, match="holds 9 lattice points, need 10"):
+        gen_random_tree(10, 0, grid=True, bbox=(0.5, 0.5, 3.5, 3.5))
+    # integral bounds of any type sample the same trees as int bounds
+    for bbox in ((0, 0, 30, 30), (0, 0, 400, 0), (-5, -7, 10**6, 10**6)):
+        want = gen_random_tree(20, 3, grid=True, bbox=bbox)
+        for conv in (float, Fraction):
+            got = gen_random_tree(20, 3, grid=True, bbox=tuple(map(conv, bbox)))
+            assert (got.points, got.edges) == (want.points, want.edges)
