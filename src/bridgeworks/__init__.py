@@ -14,6 +14,7 @@ otherwise. Set BRIDGEWORKS_BACKEND=rational or =double to force a side.
 from .numerics import TOLERANCE, backend_override, is_exact, values_equal
 from .geometry import (
     DistanceTable,
+    Eccentricities,
     PlanarGraph,
     Point,
     WeightedTree,
@@ -23,6 +24,7 @@ from .geometry import (
     path_vertices,
     segments_intersect,
     segments_properly_cross,
+    tree_eccentricities,
     validate_planar,
 )
 from .bridge import (
@@ -74,6 +76,7 @@ __all__ = [
     "is_exact",
     "values_equal",
     "DistanceTable",
+    "Eccentricities",
     "PlanarGraph",
     "Point",
     "WeightedTree",
@@ -83,6 +86,7 @@ __all__ = [
     "path_vertices",
     "segments_intersect",
     "segments_properly_cross",
+    "tree_eccentricities",
     "validate_planar",
     "BridgeSolution",
     "DecisionWitness",

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,9 +89,19 @@ def solve_exact(
     *,
     threads: int = 1,
 ) -> BridgeSolution:
-    """Optimal bridge by full scan over vertex pairs, O(n1 * n2) after
-    O(n1 + n2) tree sweeps. `threads` (>= 1) splits the float scan; on a
-    2-vCPU host a second thread pays only from n of about 2000 up."""
+    """Optimal bridge, scoring only the vertex pairs that can still win.
+
+    A pair scores ecc1(p) + |pq| + ecc2(q) >= ecc1(p) + ecc2(q). The scan
+    orders each tree's vertices by (eccentricity, index), takes the two
+    centres' score as the incumbent, and scores a pair only while
+    ecc1(p) + ecc2(q) is at most the incumbent (the threshold algorithm's
+    stopping rule), keeping ties for the lex-min (value, p, q). After
+    O(n1 + n2) tree sweeps and the sorts, the cost is the number of pairs
+    scored: about 1% of n1 * n2 on the benchmark's float trees and on
+    collinear Fraction trees, and all of them, O(n1 * n2), when the trees
+    lie far apart. `threads` (>= 1) splits the float scan
+    once its pairs fill two or more chunks; on a 2-vCPU host a second
+    thread pays only from n of about 2000 up."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     mode = _resolve_mode(t1, t2)
@@ -124,17 +135,41 @@ def solve_exact(
     )
 
 
+def _float_bound(x: Number) -> float:
+    """float(x), or inf past the float range, where a float sum with x
+    would overflow anyway."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _scan_exact(t1, t2, e1, e2):
+    """Lex-min (ep + |pq| + eq, p, q) in the input's arithmetic, walking
+    rows and columns by (eccentricity, index) and each row only while
+    ep + eq can still reach the incumbent. An irrational |pq| makes the
+    score the float fl(fl(ep + |pq|) + eq), at least fl(ep + eq) since
+    rounding is monotone, so a pair is cut only when both ep + eq and
+    fl(ep + eq) exceed the incumbent."""
     pts1, pts2 = t1.points, t2.points
+    f1 = [_float_bound(e) for e in e1]
+    f2 = [_float_bound(e) for e in e2]
+    cols = sorted(range(len(pts2)), key=lambda q: (e2[q], q))
     best = None
-    for p in range(len(pts1)):
-        a = pts1[p]
-        ep = e1[p]
-        for q in range(len(pts2)):
+    for p in sorted(range(len(pts1)), key=lambda p: (e1[p], p)):
+        a, ep, fp = pts1[p], e1[p], f1[p]
+        for k, q in enumerate(cols):
+            eq = e2[q]
+            if best is not None and ep + eq > best[0] and fp + f2[q] > best[0]:
+                if k == 0:
+                    # later rows have ep (and fp) at least as large
+                    _, p, q, w = best
+                    return p, q, w
+                break
             w = euclidean_distance(a, pts2[q])
-            v = ep + w + e2[q]
-            if best is None or v < best[0]:
-                best = (v, p, q, w)
+            cand = (ep + w + eq, p, q, w)
+            if best is None or cand < best:
+                best = cand
     _, p, q, w = best
     return p, q, w
 
@@ -142,16 +177,27 @@ def _scan_exact(t1, t2, e1, e2):
 def _scan_double(t1, t2, ecc1, ecc2, threads):
     x1, y1 = _float_xy(t1.points)
     x2, y2 = _float_xy(t2.points)
-    e1 = np.array([float(e) for e in ecc1])
-    e2 = np.array([float(e) for e in ecc2])
+    e1, e2 = _floats(ecc1), _floats(ecc2)
 
     def values(lo: int, hi: int) -> np.ndarray:
-        d = np.hypot(x1[lo:hi, None] - x2, y1[lo:hi, None] - y2)
-        d += e1[lo:hi, None]
-        d += e2
-        return d
+        return _scores(x1[lo:hi, None] - x2, y1[lo:hi, None] - y2, e1[lo:hi, None], e2)
 
-    val, p, q = _chunked_argmin(len(x1), len(x2), values, threads)
+    # A score is fl(fl(hypot + e1) + e2) >= fl(e1 + e2) (monotone
+    # rounding), so with columns sorted by e2, row p keeps the prefix with
+    # fl(e1[p] + e2) <= the centres' score.
+    order = np.argsort(e2, kind="stable")
+    x2s, y2s, e2s = x2[order], y2[order], e2[order]
+
+    def pair_values(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return _scores(x1[i] - x2s[j], y1[i] - y2s[j], e1[i], e2s[j])
+
+    centres = np.array([np.argmin(e1)]), np.zeros(1, dtype=np.intp)
+    inc = pair_values(*centres)[0]
+    hi = np.searchsorted(e2s, _widened(inc) - e1, side="right")
+    if _prunes(hi.sum(), x1, y1, x2, y2, e1, e2):
+        val, p, q = _windowed_argmin(np.zeros_like(hi), hi, order, pair_values, threads)
+    else:
+        val, p, q = _chunked_argmin(len(x1), len(x2), values, threads)
     return p, q, val
 
 
@@ -161,18 +207,65 @@ def _scan_double(t1, t2, ecc1, ecc2, threads):
 _CHUNK_ENTRIES = 2**13
 
 
+def _scores(dx, dy, e1, e2) -> np.ndarray:
+    """fl(fl(hypot(dx, dy) + e1) + e2), the float scans' bridge score."""
+    d = np.hypot(dx, dy)
+    d += e1
+    d += e2
+    return d
+
+
+def _squares(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """fl(fl(dx*dx) + fl(dy*dy)), in place in dx."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _floats(values) -> np.ndarray:
+    """float64 array of float(v) for each v, without a float() call per v."""
+    return np.fromiter(values, dtype=np.float64)
+
+
 def _float_xy(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([float(p.x) for p in points]),
-        np.array([float(p.y) for p in points]),
+    xy = _floats(chain.from_iterable(points))
+    return xy[0::2].copy(), xy[1::2].copy()
+
+
+def _prunes(kept: int, x1, y1, x2, y2, *more) -> bool:
+    """Whether a windowed scan of `kept` pairs beats the full scan: a
+    flat-indexed pair costs about twice a broadcast one, and non-finite
+    input (whose bounds prove nothing) always takes the full scan."""
+    return 2 * kept < len(x1) * len(x2) and all(
+        np.isfinite(a).all() for a in (x1, y1, x2, y2, *more)
     )
+
+
+def _widened(bound: float) -> float:
+    """A float above `bound` by a few ulps. A pair whose float lower bound
+    a + b is at most `bound` has b <= fl(_widened(bound) - a), so a sorted
+    search with the widened value keeps every such pair (and perhaps a few
+    more, which are scored and lose)."""
+    return bound + abs(bound) * 2.0**-50
+
+
+def _min_over_chunks(chunk_min, chunks: Sequence, threads: int):
+    """min(map(chunk_min, chunks)); with threads > 1 and two or more chunks,
+    each of up to `threads` workers takes every threads-th chunk."""
+    workers = min(threads, len(chunks))
+    if workers <= 1:
+        return min(map(chunk_min, chunks))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return min(ex.map(lambda k: min(map(chunk_min, chunks[k::workers])), range(workers)))
 
 
 def _chunked_argmin(n1: int, n2: int, values, threads: int = 1) -> tuple[float, int, int]:
     """Lex-min (value, row, column) of the n1 x n2 matrix whose rows lo:hi
-    values(lo, hi) computes, one chunk of rows at a time. With threads > 1,
-    each of up to `threads` workers scans every threads-th chunk of the
-    same sequence, so memory stays one chunk per worker."""
+    values(lo, hi) computes, one chunk of rows at a time, so memory stays
+    one chunk per worker."""
     step = max(1, _CHUNK_ENTRIES // n2)
 
     def chunk_min(lo: int) -> tuple[float, int, int]:
@@ -180,14 +273,29 @@ def _chunked_argmin(n1: int, n2: int, values, threads: int = 1) -> tuple[float, 
         r, c = divmod(int(np.argmin(vals)), n2)   # first occurrence = lex-min
         return (float(vals[r, c]), lo + r, c)
 
-    starts = range(0, n1, step)
-    workers = min(threads, len(starts))
-    if workers <= 1:
-        return min(map(chunk_min, starts))
-    from concurrent.futures import ThreadPoolExecutor
+    return _min_over_chunks(chunk_min, range(0, n1, step), threads)
 
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return min(ex.map(lambda k: min(map(chunk_min, starts[k::workers])), range(workers)))
+
+def _windowed_argmin(lo, hi, col_ids, values, threads: int = 1) -> tuple[float, int, int]:
+    """Lex-min (value, i, col_ids[j]) over the pairs with lo[i] <= j < hi[i];
+    values(i, j) scores flat index arrays of them. Rows go into chunks of
+    about _CHUNK_ENTRIES pairs (a wider row is a chunk of its own), so
+    memory stays one chunk per worker."""
+    width = hi - lo
+    live = np.flatnonzero(width)
+    start = np.cumsum(width[live]) - width[live]
+    chunks = np.split(live, np.flatnonzero(np.diff(start // _CHUNK_ENTRIES)) + 1)
+
+    def chunk_min(rows: np.ndarray) -> tuple[float, int, int]:
+        w = width[rows]
+        i = np.repeat(rows, w)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(w) - w - lo[rows], w)
+        vals = values(i, j)
+        best = vals.min()
+        hits = np.flatnonzero(vals == best)
+        return (float(best), *min(zip(i[hits].tolist(), col_ids[j[hits]].tolist())))
+
+    return _min_over_chunks(chunk_min, chunks, threads)
 
 
 def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
@@ -196,7 +304,9 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     Guarantee: merged-diameter value at most twice the optimum. The closest
     pair minimizes |pq|, and any bridge value is at least max(r1, r2) with
     r_i the tree radius, which bounds the eccentricity overshoot. Backend
-    as in solve_exact.
+    as in solve_exact. Cost: O(n1 + n2) tree sweeps plus the closest pair,
+    which scores only the pairs within reach in x: output-sensitive, and
+    O(n1 * n2) in the worst case.
     """
     _resolve_mode(t1, t2)  # raises when rational is forced on inexact trees
     p, q, blen = bichromatic_closest_pair(t1.points, t2.points)
@@ -226,45 +336,74 @@ def bichromatic_closest_pair(
 ) -> tuple[int, int, Number]:
     """Closest pair across the two point sets; ties by lex-min (i, j).
 
-    Exact input takes the exact quadratic scan, float input a vectorized
-    scan in chunks of rows with bounded memory; on float input both compute
-    the same IEEE dx*dx + dy*dy, so they agree. An empty side raises
-    ValueError.
+    pts2 is sorted by x, the incumbent is the closest of each point's
+    nearest neighbours in x, and a pair is scored only when dx * dx is at
+    most the incumbent squared distance. Exact input does this in exact
+    arithmetic on squared distances, with no square root; float input
+    takes numpy chunks with bounded memory and computes the same IEEE
+    dx*dx + dy*dy, so both agree with a full scan. The cost is
+    O((n1 + n2) log n2) plus the pairs scored, O(n1 * n2) in the worst
+    case (every point within the incumbent distance in x). An empty side
+    raises ValueError.
     """
     for name, pts in (("pts1", pts1), ("pts2", pts2)):
         if len(pts) == 0:
             raise ValueError(f"closest pair needs a point on each side; {name} is empty")
     if all(is_exact(p.x) and is_exact(p.y) for p in (*pts1, *pts2)):
-        return _closest_pair_scan(pts1, pts2)
+        i, j = _closest_pair_exact(pts1, pts2)
+    else:
+        i, j = _closest_pair_double(pts1, pts2)
+    return i, j, euclidean_distance(pts1[i], pts2[j])
+
+
+def _closest_pair_exact(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[int, int]:
+    order = sorted(range(len(pts2)), key=lambda j: pts2[j].x)
+    xs = [pts2[j].x for j in order]
+
+    def key(i: int, j: int):
+        dx = pts1[i].x - pts2[j].x
+        dy = pts1[i].y - pts2[j].y
+        return (dx * dx + dy * dy, i, j)
+
+    at = [bisect_left(xs, a.x) for a in pts1]
+    best = min(key(i, order[k]) for i, k0 in enumerate(at)
+               for k in (k0 - 1, k0) if 0 <= k < len(xs))
+    for i, a in enumerate(pts1):
+        for walk in (range(at[i], len(xs)), range(at[i] - 1, -1, -1)):
+            for k in walk:
+                dx = xs[k] - a.x
+                if dx * dx > best[0]:
+                    break
+                best = min(best, key(i, order[k]))
+    return best[1], best[2]
+
+
+def _closest_pair_double(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[int, int]:
     x1, y1 = _float_xy(pts1)
     x2, y2 = _float_xy(pts2)
 
     def squared(lo: int, hi: int) -> np.ndarray:
-        dx = x1[lo:hi, None] - x2
-        dy = y1[lo:hi, None] - y2
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return dx
+        return _squares(x1[lo:hi, None] - x2, y1[lo:hi, None] - y2)
 
-    _, i, j = _chunked_argmin(len(x1), len(x2), squared)
-    return i, j, euclidean_distance(pts1[i], pts2[j])
+    order = np.argsort(x2, kind="stable")
+    x2s, y2s = x2[order], y2[order]
 
+    def pair_squared(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return _squares(x1[i] - x2s[j], y1[i] - y2s[j])
 
-def _closest_pair_scan(
-    pts1: Sequence[Point], pts2: Sequence[Point]
-) -> tuple[int, int, Number]:
-    """Reference O(n1 * n2) scan on squared distances, in the input's arithmetic."""
-    best = None
-    for i, a in enumerate(pts1):
-        for j, b in enumerate(pts2):
-            dx = a.x - b.x
-            dy = a.y - b.y
-            d2 = dx * dx + dy * dy
-            if best is None or d2 < best[0]:
-                best = (d2, i, j)
-    _, i, j = best
-    return i, j, euclidean_distance(pts1[i], pts2[j])
+    # fl(dx*dx) <= inc needs |x1 - x2| <= sqrt(inc) * (1 + 2**-52); a
+    # float x2 inside that real interval lies between the rounded ends
+    at = np.searchsorted(x2s, x1)
+    near = np.clip(np.concatenate([at - 1, at]), 0, len(x2s) - 1)
+    inc = pair_squared(np.tile(np.arange(len(x1)), 2), near).min()
+    reach = math.sqrt(inc) * (1 + 2.0**-48)
+    lo = np.searchsorted(x2s, x1 - reach, side="left")
+    hi = np.searchsorted(x2s, x1 + reach, side="right")
+    if _prunes((hi - lo).sum(), x1, y1, x2, y2):
+        _, i, j = _windowed_argmin(lo, hi, order, pair_squared)
+    else:
+        _, i, j = _chunked_argmin(len(x1), len(x2), squared)
+    return i, j
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,13 @@ if TYPE_CHECKING:
     from .reductions import OneInThreeSatInstance
 
 
-def _file_digest(path: str) -> str:
+def _read(path: str) -> tuple[str, str]:
+    """The file's text, decoded as UTF-8, and the sha256 of its bytes, from
+    one read. Line ends stay as written: the parsers split lines with
+    str.splitlines, which takes CRLF and a lone CR as line ends."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = fh.read()
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
 
 
 def _write(path: str, text: str):
@@ -88,20 +87,23 @@ def _json_text(data) -> str:
 
 
 def _load_tree(run: _Run, path: str) -> WeightedTree:
-    tree = parse_tree(_read(path))
-    run.add_instance(path, "tree", vertices=tree.n, edges=len(tree.edges))
+    text, digest = _read(path)
+    tree = parse_tree(text)
+    run.add_instance(path, "tree", digest, vertices=tree.n, edges=len(tree.edges))
     return tree
 
 
 def _load_sat(run: _Run, path: str) -> OneInThreeSatInstance:
-    sat = parse_sat(_read(path))
-    run.add_instance(path, "sat", variables=sat.n_vars, clauses=sat.m)
+    text, digest = _read(path)
+    sat = parse_sat(text)
+    run.add_instance(path, "sat", digest, variables=sat.n_vars, clauses=sat.m)
     return sat
 
 
 def _load_graph(run: _Run, path: str):
-    points, edges = parse_graph(_read(path))
-    run.add_instance(path, "graph", vertices=len(points), edges=len(edges))
+    text, digest = _read(path)
+    points, edges = parse_graph(text)
+    run.add_instance(path, "graph", digest, vertices=len(points), edges=len(edges))
     return points, edges
 
 
@@ -119,8 +121,8 @@ class _Run:
             "backend_env": os.environ.get("BRIDGEWORKS_BACKEND"),
         }
 
-    def add_instance(self, path: str, kind: str, **extra):
-        entry = {"path": path, "kind": kind, "digest": _file_digest(path)}
+    def add_instance(self, path: str, kind: str, digest: str, **extra):
+        entry = {"path": path, "kind": kind, "digest": digest}
         entry.update(extra)
         self.report["instances"].append(entry)
 
@@ -348,8 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
         common(bp)
         if mode == "exact":
             bp.add_argument("--threads", type=int, default=1,
-                            help="worker threads for the float scan, >= 1 (default 1); "
-                                 "on 2 vCPUs a second one pays only from n of about 2000 up")
+                            help="worker threads for the float scan, >= 1 (default 1), "
+                                 "started only when the pairs left to score fill two or "
+                                 "more chunks; the scan scores only the pairs that can still "
+                                 "win, O(n1*n2) in the worst case (trees far apart); on 2 vCPUs "
+                                 "a second thread pays only from n of about 2000 up")
             bp.add_argument("--emit-dot", metavar="PATH")
         if mode == "decide":
             bp.add_argument("--c1", required=True)

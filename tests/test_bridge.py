@@ -27,8 +27,8 @@ from bridgeworks import (
     one_bridge_decide,
     solve_exact,
 )
-from bridgeworks.bridge import _closest_pair_scan, bichromatic_closest_pair
-from bridgeworks.geometry import Point, single_source_tree_distances
+from bridgeworks.bridge import bichromatic_closest_pair
+from bridgeworks.geometry import Point, single_source_tree_distances, tree_eccentricities
 from bridgeworks.numerics import is_exact
 from bridgeworks.reductions import cov_to_one_bridge, random_instance, sat_to_cov
 from bridgeworks.twin import (
@@ -38,6 +38,7 @@ from bridgeworks.twin import (
     solve_cases_34,
     solve_twin,
 )
+from scan_oracles import closest_pair_scan, scan_double, scan_exact
 
 
 # ---------------------------------------------------------------- oracle
@@ -146,7 +147,7 @@ def table_answers(t1, t2):
         (ecc1[p] + euclidean_distance(t1.points[p], t2.points[q]) + ecc2[q], p, q)
         for p in range(t1.n) for q in range(t2.n)
     )
-    gp, gq, _ = _closest_pair_scan(t1.points, t2.points)
+    gp, gq, _ = closest_pair_scan(t1.points, t2.points)
     out = {}
     for method, p, q in (("exact", p, q), ("greedy", gp, gq)):
         blen = euclidean_distance(t1.points[p], t2.points[q])
@@ -224,7 +225,7 @@ def test_threads_do_not_change_result(monkeypatch):
     cases = [float_pair(17, n_max=20), *(tie_rich_float_pair(s, (0, 0)) for s in (0, 1)),
              tie_rich_float_pair(4, (0, 1))]
     for t1, t2 in cases:
-        closest = _closest_pair_scan(t1.points, t2.points)
+        closest = closest_pair_scan(t1.points, t2.points)
         got = set()
         for entries in (1, bridgeworks.bridge._CHUNK_ENTRIES, t1.n * t2.n):
             monkeypatch.setattr(bridgeworks.bridge, "_CHUNK_ENTRIES", entries)
@@ -250,18 +251,123 @@ def test_thread_counts_below_one_are_rejected(threads):
 
 def test_float_scans_have_bounded_memory():
     # scanning the whole 2000 x 2000 matrix at once peaked at 128 MB
-    # (solve_exact) and 79 MB (approx_greedy)
+    # (solve_exact) and 79 MB (approx_greedy); the trees 10**5 apart prune
+    # nothing in solve_exact, which then takes the full chunked scan
     t1 = gen_random_tree(2000, 1)
-    t2 = gen_random_tree(2000, 2, bbox=(150, 0, 250, 100))
-    for run in (lambda: solve_exact(t1, t2), lambda: solve_exact(t1, t2, threads=2),
-                lambda: approx_greedy(t1, t2)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2_000_000, peak
+    for t2 in (gen_random_tree(2000, 2, bbox=(150, 0, 250, 100)),
+               gen_random_tree(2000, 2, bbox=(10**5, 0, 10**5 + 100, 100))):
+        for run in (lambda: solve_exact(t1, t2), lambda: solve_exact(t1, t2, threads=2),
+                    lambda: approx_greedy(t1, t2)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2_000_000, peak
+
+
+def random_size(seed, n_max):
+    return random.Random(seed).randint(1, n_max)
+
+
+def slanted_exact_pair(seed):
+    """Integer points off any common line with exact explicit weights: the
+    trees stay exact, and most |pq| are irrational floats."""
+    rng = random.Random(seed)
+    def mk(x0):
+        n = rng.randint(1, 12)
+        pts = [(x0 + rng.randrange(12), rng.randrange(12)) for _ in range(n)]
+        weights = (0, 1, 2, Fraction(5, 2))
+        return WeightedTree(pts, [(rng.randrange(i), i, rng.choice(weights)) for i in range(1, n)],
+                            explicit_weights=True)
+    return mk(0), mk(8)
+
+
+SCAN_FAMILIES = {
+    "separated": lambda s: float_pair(s, n_max=40),
+    "overlapping": lambda s: (
+        gen_random_tree(random_size(s, 40), 2 * s + 1),
+        gen_random_tree(random_size(-s, 40), 2 * s + 2, bbox=(40, 0, 140, 100))),
+    # the centres' score exceeds every ecc1 + ecc2: nothing is pruned
+    "far_apart": lambda s: (
+        gen_random_tree(random_size(s, 40), 2 * s + 1, bbox=(0, 0, 10, 10)),
+        gen_random_tree(random_size(-s, 40), 2 * s + 2, bbox=(10**4, 0, 10**4 + 10, 10))),
+    "tie_rich": lambda s: tie_rich_float_pair(s, (0, 1)),
+    # exact integer grids sharing points
+    "coincident": lambda s: (
+        gen_random_tree(random_size(s, 25), s, grid=True, bbox=(0, 0, 5, 5)),
+        gen_random_tree(random_size(-s, 25), s + 50, grid=True, bbox=(2, 0, 7, 5))),
+    "fraction_collinear": rational_pair,
+    "slanted_exact": slanted_exact_pair,
+}
+
+
+@pytest.mark.parametrize("backend", ["default", "double"])
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_pruned_scans_equal_the_full_scans(family, backend, monkeypatch):
+    if backend == "double":
+        monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    windowed = []
+    real = bridgeworks.bridge._windowed_argmin
+    monkeypatch.setattr(bridgeworks.bridge, "_windowed_argmin",
+                        lambda *args: windowed.append(args) or real(*args))
+    pruned = 0
+    for seed in range(10):
+        t1, t2 = SCAN_FAMILIES[family](seed)
+        e1, e2 = tree_eccentricities(t1).ecc, tree_eccentricities(t2).ecc
+        windowed.clear()
+        sol = solve_exact(t1, t2)
+        pruned += bool(windowed)
+        if sol.backend == "rational":
+            want = scan_exact(t1, t2, e1, e2)
+            assert (sol.p, sol.q, sol.bridge_length) == want
+            assert type(sol.bridge_length) is type(want[2])
+        else:
+            # the same float operations, so the same bits
+            assert (sol.value, sol.p, sol.q) == scan_double(t1, t2, e1, e2)
+        assert bichromatic_closest_pair(t1.points, t2.points) == closest_pair_scan(t1.points, t2.points)
+    if family == "far_apart":
+        assert pruned == 0   # the full chunked scan
+    elif family in ("separated", "overlapping"):
+        assert pruned >= 8
+
+
+def fraction_collinear_tree(rng, n, x0):
+    """A uniform-attachment tree on y = 1/3 with non-integral x = k/d,
+    d in {3, 4, 6, 12}, in [x0, x0 + 100): exact geometric weights."""
+    xs = set()
+    while len(xs) < n:
+        d = rng.choice((3, 4, 6, 12))
+        k = rng.randrange(x0 * d, (x0 + 100) * d)
+        if k % d:
+            xs.add(Fraction(k, d))
+    pts = [(x, Fraction(1, 3)) for x in sorted(xs)]
+    rng.shuffle(pts)
+    return WeightedTree(pts, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def test_exact_scan_scores_few_pairs_on_collinear_trees(monkeypatch):
+    rng = random.Random(400)
+    t1, t2 = fraction_collinear_tree(rng, 400, 0), fraction_collinear_tree(rng, 400, 150)
+    scored = []
+    monkeypatch.setattr(bridgeworks.bridge, "euclidean_distance",
+                        lambda a, b: scored.append(1) or euclidean_distance(a, b))
+    sol = solve_exact(t1, t2)
+    assert len(scored) < 0.05 * t1.n * t2.n
+    e1, e2 = tree_eccentricities(t1).ecc, tree_eccentricities(t2).ecc
+    assert (sol.p, sol.q, sol.bridge_length) == scan_exact(t1, t2, e1, e2)
+
+
+def test_exact_scan_takes_values_past_the_float_range():
+    # axis-aligned, so every score is an exact int far above 1e308; the
+    # scan's float bounds must not raise where exact arithmetic does not
+    big = 10**400
+    t1 = WeightedTree([(0, 0), (big, 0), (2 * big, 0)], [(0, 1), (1, 2)])
+    t2 = WeightedTree([(5 * big, 0), (5 * big + 5, 0), (4 * big, 0)], [(0, 1), (0, 2)])
+    e1, e2 = tree_eccentricities(t1).ecc, tree_eccentricities(t2).ecc
+    sol = solve_exact(t1, t2)
+    assert (sol.p, sol.q, sol.bridge_length) == scan_exact(t1, t2, e1, e2) == (1, 2, 3 * big)
 
 
 def test_backend_override_forces_double(monkeypatch):

@@ -27,7 +27,8 @@ from bridgeworks import (
     validate_planar,
 )
 from bridgeworks.geometry import first_argmax, single_source_tree_distances, tree_eccentricities
-from bridgeworks.bridge import _closest_pair_scan, bichromatic_closest_pair
+from bridgeworks.bridge import bichromatic_closest_pair
+from scan_oracles import closest_pair_scan
 
 
 # ---------------------------------------------------------------- oracle
@@ -158,6 +159,18 @@ def test_sweep_eccentricities_equal_the_table_on_exact_input():
         for v in range(tree.n):
             e, f = first_argmax(single_source_tree_distances(tree, v))
             assert (e, type(e), f) == (ecc[v], type(ecc[v]), far[v])
+
+
+def test_center_vertex_takes_the_exported_eccentricities():
+    import bridgeworks
+
+    # a path 0-1-2-3 with arms 5, 1, 2: vertex 1 is 5 from one end and 3
+    # from the other, vertex 2 is 6 and 2, so the center is 1
+    t = WeightedTree([(0, 0), (5, 0), (6, 0), (8, 0)], [(0, 1), (1, 2), (2, 3)])
+    eccs = bridgeworks.tree_eccentricities(t)
+    assert isinstance(eccs, bridgeworks.Eccentricities)
+    assert eccs == ([8, 5, 6, 8], 8)
+    assert bridgeworks.center_vertex(eccs) == 1
 
 
 def test_diameter_pair_is_lex_min():
@@ -299,7 +312,7 @@ def test_bichromatic_closest_pair_methods_agree():
         n2 = rng.randint(1, 40)
         t1 = gen_random_tree(max(n1, 2), rng.randrange(10**6))
         t2 = gen_random_tree(max(n2, 2), rng.randrange(10**6), bbox=(50, 50, 150, 150))
-        a = _closest_pair_scan(t1.points, t2.points)
+        a = closest_pair_scan(t1.points, t2.points)
         b = bichromatic_closest_pair(t1.points, t2.points)
         assert a[:2] == b[:2]
         assert math.isclose(float(a[2]), float(b[2]), rel_tol=1e-9)
@@ -311,7 +324,7 @@ def test_bichromatic_closest_pair_methods_agree():
             [Point(step * rng.randrange(6), step * rng.randrange(6)) for _ in range(rng.randint(1, 30))]
             for _ in range(2)
         )
-        assert bichromatic_closest_pair(pts1, pts2) == _closest_pair_scan(pts1, pts2)
+        assert bichromatic_closest_pair(pts1, pts2) == closest_pair_scan(pts1, pts2)
 
 
 def test_bichromatic_closest_pair_tie_is_lex_min():

@@ -513,6 +513,52 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_reads_each_input_once(tree_files, tmp_path, capsys, monkeypatch):
+    import builtins
+
+    p1, p2, _, _ = tree_files
+    sat = tmp_path / "f.cnf"
+    sat.write_text("p cnf 4 2\n1 2 3 0\n-1 2 4 0\n")
+    graph = tmp_path / "k4.txt"
+    graph.write_text(serialize_graph(*k4_embedding()))
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for argv, paths in (
+        (("bridge", "exact", p1, p2), [p1, p2]),
+        (("verify", "iff-onebridge", "--sat", str(sat)), [str(sat)]),
+        (("reduce", "vc-to-rdbp", "--graph", str(graph), "--k", "3",
+          "--out-dir", str(tmp_path / "out")), [str(graph)]),
+    ):
+        opened.clear()
+        code, rep = report_of(capsys, *argv, "--json")
+        assert code == 0
+        assert [opened.count(path) for path in paths] == [1] * len(paths)
+        # the digest is still the sha256 of the file's bytes
+        assert [i["digest"] for i in rep["instances"]] == [sha256_of(Path(p)) for p in paths]
+
+
+def test_cli_crlf_input_parses_as_lf_and_digests_its_bytes(tree_files, tmp_path, capsys):
+    p1, p2, _, _ = tree_files
+    crlf = tmp_path / "t1-crlf.txt"
+    crlf.write_bytes(Path(p1).read_bytes().replace(b"\n", b"\r\n"))
+    _, want = report_of(capsys, "bridge", "exact", p1, p2, "--json")
+    _, got = report_of(capsys, "bridge", "exact", str(crlf), p2, "--json")
+    assert got["result"] == want["result"]
+    assert got["instances"][0]["digest"] == hashlib.sha256(crlf.read_bytes()).hexdigest()
+    assert got["instances"][0]["digest"] != want["instances"][0]["digest"]
+    # invalid UTF-8 is an input error, like a missing file
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"2 1\n0 0 0\n1 1 0 # caf\xe9\n0 1\n")
+    code, out, err = run_cli(capsys, "bridge", "exact", str(bad), p2)
+    assert code == 2 and out == "" and "error:" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_cli_rejects_thread_counts_below_one(tree_files, capsys, threads):
     p1, p2, _, _ = tree_files
