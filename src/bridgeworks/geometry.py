@@ -116,20 +116,8 @@ class WeightedTree:
         object.__setattr__(self, "edges", tuple(norm_edges))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "explicit_weights", explicit_weights)
-        # connectivity check (n-1 edges + connected == tree)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        adj = self.adjacency
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        if count != n:
+        # n-1 edges + connected == tree
+        if None in walk_parents(self.adjacency, 0):
             raise ValueError("edges do not form a connected tree")
 
     @property
@@ -230,22 +218,35 @@ def center_vertex(eccs: Eccentricities) -> int:
     return eccs.ecc.index(min(eccs.ecc))
 
 
-def path_vertices(tree: WeightedTree, a: int, b: int) -> list[int]:
-    """Vertex sequence of the unique a..b path."""
-    parent = [-1] * tree.n
-    seen = [False] * tree.n
-    seen[a] = True
-    stack = [a]
-    adj = tree.adjacency
+def walk_parents(
+    adjacency: Sequence[Sequence[tuple[int, Number]]],
+    src: int,
+    blocked: Sequence[int] = (),
+) -> list[int | None]:
+    """Each vertex's predecessor on a walk from src that never enters a
+    blocked vertex: src maps to itself, and every vertex the walk does not
+    reach (the blocked ones included) maps to None."""
+    parent: list[int | None] = [None] * len(adjacency)
+    # pre-marked as reached, so the walk never enters them and the inner
+    # loop needs no second test
+    for b in blocked:
+        parent[b] = b
+    parent[src] = src
+    stack = [src]
     while stack:
         u = stack.pop()
-        if u == b:
-            break
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = True
+        for v, _ in adjacency[u]:
+            if parent[v] is None:
                 parent[v] = u
                 stack.append(v)
+    for b in blocked:
+        parent[b] = None
+    return parent
+
+
+def path_vertices(tree: WeightedTree, a: int, b: int) -> list[int]:
+    """Vertex sequence of the unique a..b path."""
+    parent = walk_parents(tree.adjacency, a)
     out = [b]
     while out[-1] != a:
         out.append(parent[out[-1]])

@@ -200,18 +200,6 @@ def serialize_graph(points, edges) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_pairs(text: str) -> list[tuple[int, int]]:
-    out = []
-    for ln, toks, _ in _content_lines(text):
-        if len(toks) != 2:
-            raise ParseError("pair row must be 'a b'", ln, 1)
-        try:
-            out.append((int(toks[0]), int(toks[1])))
-        except ValueError:
-            raise ParseError("pair entries must be integers", ln, 1) from None
-    return out
-
-
 def serialize_pairs(pairs) -> str:
     return "".join(f"{a} {b}\n" for a, b in pairs)
 
@@ -275,18 +263,6 @@ def serialize_sat(inst: OneInThreeSatInstance) -> str:
     for c in inst.clauses:
         out.append(f"{c[0]} {c[1]} {c[2]} 0")
     return "\n".join(out) + "\n"
-
-
-def parse_integers(text: str) -> tuple[int, ...]:
-    out = []
-    for ln, toks, _ in _content_lines(text):
-        if len(toks) != 1:
-            raise ParseError("expected one integer per line", ln, 1)
-        try:
-            out.append(int(toks[0]))
-        except ValueError:
-            raise ParseError(f"bad integer {toks[0]!r}", ln, 1) from None
-    return tuple(out)
 
 
 def serialize_integers(values) -> str:

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..geometry import PlanarGraph, dijkstra, euclidean_distance, validate_planar
+from ..geometry import PlanarGraph, dijkstra, euclidean_distance, validate_planar, walk_parents
 from ..numerics import definitely_less
 
 TWO_PI = 2 * math.pi
@@ -62,42 +62,13 @@ def _check_cubic_planar_2connected(g: PlanarGraph):
     crossings = validate_planar(g)
     if crossings:
         raise ValueError(f"embedding is not planar: segments cross at {crossings[:3]}")
-    # connectivity + articulation vertices via one DFS (iterative lowlink)
-    adj = [[v for v, _ in row] for row in g.adjacency]
-    seen = [False] * n
-    disc = [0] * n
-    low = [0] * n
-    timer = 0
-    root_children = 0
-    stack = [(0, -1, iter(adj[0]))]
-    seen[0] = True
-    disc[0] = low[0] = timer = 1
-    while stack:
-        u, parent, it = stack[-1]
-        advanced = False
-        for v in it:
-            if not seen[v]:
-                if u == 0:
-                    root_children += 1
-                seen[v] = True
-                timer += 1
-                disc[v] = low[v] = timer
-                stack.append((v, u, iter(adj[v])))
-                advanced = True
-                break
-            elif v != parent:
-                low[u] = min(low[u], disc[v])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if p != 0 and low[u] >= disc[p]:
-                    raise ValueError(f"vertex {p} is an articulation point")
-    if not all(seen):
+    # connected, and no vertex whose blocking leaves another unreached; the
+    # n + 1 walks cost O(n (n + m)), below validate_planar's O(m^2)
+    if None in walk_parents(g.adjacency, 0):
         raise ValueError("graph is not connected")
-    if root_children > 1:
-        raise ValueError("vertex 0 is an articulation point")
+    for v in range(n):
+        if walk_parents(g.adjacency, 0 if v else 1, (v,)).count(None) > 1:
+            raise ValueError(f"vertex {v} is an articulation point")
 
 
 def _point_segment_distance(p, a, b) -> float:
@@ -249,6 +220,12 @@ def vc_to_rdbp(
 ) -> RdbpInstance:
     """Build the distance-decrease instance for a cubic, 2-connected, planar
     embedded graph with the given shortcut budget.
+
+    Raises ValueError unless the graph has at least 4 vertices, every
+    vertex has degree 3 (the first vertex that does not is named), no two
+    segments cross (the first three crossing edge pairs are named), the
+    graph is connected, and no vertex is an articulation vertex (the
+    lowest-index one is named).
     """
     g = PlanarGraph(points, edges)
     _check_cubic_planar_2connected(g)
@@ -336,6 +313,8 @@ def rdbp_subset_decreases_all(
 def rdbp_brute_force(
     inst: RdbpInstance,
     k: int | None = None,
+    *,
+    _base: list | None = None,
 ) -> tuple[int, ...] | None:
     """Lex-min candidate-index subset of size k decreasing all pairs, or
     None. k defaults to the instance budget.
@@ -345,30 +324,34 @@ def rdbp_brute_force(
     ncand = len(inst.candidates)
     if math.comb(ncand, k) > 10**6:
         raise ValueError("search space above 10^6 subsets")
-    base = _pair_distances(inst, ())
+    base = _base if _base is not None else _pair_distances(inst, ())
     for combo in itertools.combinations(range(ncand), k):
         if rdbp_subset_decreases_all(inst, combo, base):
             return combo
     return None
 
 
+_NO_DECREASING_SUBSET = "even the full candidate set fails to decrease all pairs"
+
+
 def rdbp_minimum_budget(inst: RdbpInstance) -> tuple[int, tuple[int, ...]]:
     """Smallest k admitting a decreasing subset, with its lex-min witness."""
+    base = _pair_distances(inst, ())
     for k in range(len(inst.candidates) + 1):
-        sol = rdbp_brute_force(inst, k)
+        sol = rdbp_brute_force(inst, k, _base=base)
         if sol is not None:
             return k, sol
-    raise RuntimeError("even the full candidate set fails to decrease all pairs")
+    raise RuntimeError(_NO_DECREASING_SUBSET)
 
 
-def vertex_cover_brute_force(
-    n: int,
-    edges,
-    max_n: int = 20,
-) -> tuple[int, ...]:
-    """Lex-min minimum vertex cover by increasing size."""
-    if n > max_n:
-        raise ValueError(f"guarded to {max_n} vertices")
+VERTEX_COVER_MAX_N = 20
+
+
+def vertex_cover_brute_force(n: int, edges) -> tuple[int, ...]:
+    """Lex-min minimum vertex cover by increasing size, on at most
+    VERTEX_COVER_MAX_N vertices."""
+    if n > VERTEX_COVER_MAX_N:
+        raise ValueError(f"guarded to {VERTEX_COVER_MAX_N} vertices")
     es = [tuple(e[:2]) for e in edges]
     for k in range(n + 1):
         for combo in itertools.combinations(range(n), k):
@@ -392,27 +375,33 @@ class RdbpIffReport:
 def verify_rdbp_iff(points, edges) -> RdbpIffReport:
     """Exhaustive agreement check on a small graph: the minimum decreasing
     budget equals the cover number, and a candidate subset decreases all
-    pairs iff the matching vertex set is a cover.
+    pairs iff the matching vertex set is a cover. One pass over the subsets
+    by increasing size reads all three.
     """
     n = len(points)
     if n > 8:
         raise ValueError("exhaustive verification guarded to 8 vertices")
     inst = vc_to_rdbp(points, edges, 0)
-    cover = vertex_cover_brute_force(n, edges)
-    budget, _ = rdbp_minimum_budget(inst)
     es = [tuple(e[:2]) for e in edges]
     base = _pair_distances(inst, ())
+    cover_size = budget_size = None
     ok = True
     for r in range(n + 1):
         for combo in itertools.combinations(range(n), r):
             chosen = set(combo)
             is_cover = all(a in chosen or b in chosen for a, b in es)
             decreases = rdbp_subset_decreases_all(inst, combo, base)
+            if is_cover and cover_size is None:
+                cover_size = r
+            if decreases and budget_size is None:
+                budget_size = r
             if is_cover != decreases:
                 ok = False
+    if budget_size is None:
+        raise RuntimeError(_NO_DECREASING_SUBSET)
     return RdbpIffReport(
-        cover_size=len(cover),
-        budget_size=budget,
+        cover_size=cover_size,
+        budget_size=budget_size,
         subsets_match_covers=ok,
     )
 

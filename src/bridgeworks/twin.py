@@ -12,11 +12,11 @@ convention p1 < p2.
 All shortest paths in T'' factor through the four bridge endpoints, so one
 term function, `_terms`, gives every pair's distance in closed form over
 the two tree distance tables, held as numpy arrays: float64 for inexact
-input, integers scaled by one common denominator for exact input (tables
-built over integer edge weights; float64 below 2**40, Python ints past
-that). The searches score candidates by its maximum; the evaluator
-reports its argmax, with the value recomputed at that pair from
-single-source sweeps of the input trees.
+input, integers scaled by one common denominator for exact input with
+rational cross distances (tables built over integer edge weights; float64
+below 2**40, Python ints past that). The searches score candidates by its
+maximum; the evaluator reports its argmax, with the value recomputed at
+that pair from single-source sweeps of the input trees.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .geometry import (
     path_vertices,
     segments_properly_cross,
     single_source_tree_distances,
+    walk_parents,
 )
 from .numerics import Number
 
@@ -299,31 +300,14 @@ def _finish(t1, t2, arr: _Arrays, cand: tuple[int, int, int, int]) -> TwinBridge
 # Case 1-2 search: edge-pair deletion
 
 
-def _component_masks(t: WeightedTree, edge_index: int) -> np.ndarray:
-    """Boolean mask of the component containing edges[edge_index][0]."""
-    u0, v0, _ = t.edges[edge_index]
-    mask = np.zeros(t.n, dtype=bool)
-    mask[u0] = True
-    stack = [u0]
-    adj = t.adjacency
-    skip = {(u0, v0), (v0, u0)}
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if (u, v) in skip or mask[v]:
-                continue
-            mask[v] = True
-            stack.append(v)
-    return mask
-
-
 def _split_eccentricities(t: WeightedTree, D: np.ndarray) -> np.ndarray:
     """E[e, s, a]: a's eccentricity inside side s of the split at edge e
     (s = 0 the component of edges[e][0], s = 1 the rest), inf where a lies
     on the other side. One edge at a time, O(n^2) each."""
     E = np.empty((len(t.edges), 2, t.n), dtype=D.dtype)
-    for e in range(len(t.edges)):
-        mask = _component_masks(t, e)
+    for e, (u, v, _) in enumerate(t.edges):
+        # in a tree, the walk from u that never enters v is u's side of (u, v)
+        mask = np.array([p is not None for p in walk_parents(t.adjacency, u, (v,))])
         for s, side in enumerate((mask, ~mask)):
             E[e, s] = np.where(side, D[:, side].max(axis=1), np.inf)
     return E

@@ -26,7 +26,12 @@ from bridgeworks import (
     segments_properly_cross,
     validate_planar,
 )
-from bridgeworks.geometry import first_argmax, single_source_tree_distances, tree_eccentricities
+from bridgeworks.geometry import (
+    first_argmax,
+    single_source_tree_distances,
+    tree_eccentricities,
+    walk_parents,
+)
 from bridgeworks.bridge import bichromatic_closest_pair
 from scan_oracles import closest_pair_scan
 
@@ -107,6 +112,15 @@ def test_path_distance_equals_sum_of_edge_weights():
                 total = sum(weight[(path[i], path[i + 1])]
                             for i in range(len(path) - 1))
                 assert math.isclose(float(total), float(table.dist[a][b]), rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_walk_parents_never_enters_a_blocked_vertex():
+    # path 0-1-2-3 with leaf 4 on vertex 1
+    tree = WeightedTree([(0, 0), (1, 0), (2, 0), (3, 0), (1, 1)],
+                        [(0, 1), (1, 2), (2, 3), (1, 4)])
+    assert walk_parents(tree.adjacency, 0) == [0, 0, 1, 2, 1]
+    assert walk_parents(tree.adjacency, 0, (2,)) == [0, 0, None, None, 1]
+    assert walk_parents(tree.adjacency, 3, (2,)) == [None, None, None, 3, None]
 
 
 def row_eccentricities(table):
@@ -219,8 +233,9 @@ def test_tree_validation_rejects_bad_structure():
         WeightedTree(pts, [(0, 1), (1, 2), (2, 0)])    # cycle
     with pytest.raises(ValueError):
         WeightedTree(pts, [(0, 1), (1, 3)])            # index out of range
-    with pytest.raises(ValueError):
-        WeightedTree(pts, [(0, 1), (0, 1)])            # duplicate edge
+    for dup in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):   # duplicate edge
+        with pytest.raises(ValueError, match="edges do not form a connected tree"):
+            WeightedTree(pts, dup)
 
 
 def test_euclidean_distance_exact_when_representable():

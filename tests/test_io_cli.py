@@ -37,13 +37,10 @@ from bridgeworks.io import (
     gen_random_tree,
     number_to_json,
     parse_graph,
-    parse_integers,
     parse_number,
-    parse_pairs,
     parse_sat,
     parse_tree,
     serialize_graph,
-    serialize_integers,
     serialize_pairs,
     serialize_sat,
     serialize_tree,
@@ -196,7 +193,7 @@ def test_tree_parse_errors_point_at_the_bad_number(text, line, column):
     assert f"(line {line}, column {column})" in str(ei.value)
 
 
-# ------------------------------------------------------- graphs, pairs, sat
+# -------------------------------------------------------------- graphs, sat
 
 def test_graph_round_trip_and_weight_rejection():
     pts = [(0, 0), (4, 0), (2, 3)]
@@ -206,15 +203,6 @@ def test_graph_round_trip_and_weight_rejection():
     assert p2 == pts and e2 == edges
     with pytest.raises(ParseError):
         parse_graph("2 1\n0 0 0\n1 1 1\n0 1 5\n")
-
-
-def test_pairs_and_integers_round_trip():
-    pairs = [(0, 3), (2, 2), (5, 1)]
-    assert parse_pairs(serialize_pairs(pairs)) == pairs
-    vals = (3, -40, 0, 12345678901234567890)
-    assert parse_integers(serialize_integers(vals)) == vals
-    with pytest.raises(ParseError):
-        parse_integers("1 2\n")
 
 
 def test_sat_round_trip_and_errors():
@@ -403,7 +391,7 @@ def test_cli_reduce_sat_to_3sum(tmp_path, capsys):
     code, rep = report_of(capsys, "reduce", "sat-to-3sum", "--sat", str(sat),
                           "--out", str(out), "--json")
     assert code == 0
-    vals = parse_integers(out.read_text())
+    vals = [int(line) for line in out.read_text().splitlines()]
     assert len(vals) == 2 ** (4 // 2 + 1) + 1 == rep["result"]["count"]
     assert min(vals) < 0  # the target element
     assert sha256_of(out) == "feff4372b55e716a701839bea4c347334a047f65d7e9f799eb6b78607b187b13"
@@ -411,7 +399,8 @@ def test_cli_reduce_sat_to_3sum(tmp_path, capsys):
     code, rep = report_of(capsys, "reduce", "sat-to-3sum", "--sat", str(sat),
                           "--k", "4", "--out", str(out), "--json")
     assert code == 0 and rep["result"]["k"] == 4
-    parse_integers(out.read_text())
+    vals = [int(line) for line in out.read_text().splitlines()]
+    assert len(vals) == rep["result"]["count"]
     assert sha256_of(out) == "ba92109a9422d1f618016effc56a069d8b2847b2d868e5cd023e9646fab4f422"
 
 
@@ -425,8 +414,8 @@ def test_cli_reduce_vc_to_rdbp(tmp_path, capsys):
     assert code == 0
     gp, ge = parse_graph((out / "graph.txt").read_text())
     assert len(gp) == rep["result"]["vertices"]
-    assert len(parse_pairs((out / "pairs.txt").read_text())) == len(edges)
-    assert len(parse_pairs((out / "candidates.txt").read_text())) == 4
+    assert len((out / "pairs.txt").read_text().splitlines()) == len(edges)
+    assert len((out / "candidates.txt").read_text().splitlines()) == 4
     assert json.loads((out / "params.json").read_text())["budget"] == 3
     # the written bytes are the library instance, serialized (the gadget
     # coordinates come from trig, so no digest is pinned)
@@ -511,6 +500,10 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     code = main(["bridge", "exact", str(bad), str(good)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # n - 1 edge rows, one of them repeated backwards: vertex 2 is unreached
+    bad.write_text("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1\n1 0\n")
+    assert main(["bridge", "exact", str(bad), str(good)]) == 2
+    assert "edges do not form a connected tree" in capsys.readouterr().err
 
 
 def test_cli_reads_each_input_once(tree_files, tmp_path, capsys, monkeypatch):

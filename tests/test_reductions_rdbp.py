@@ -23,6 +23,7 @@ from bridgeworks.reductions import (
     vertex_cover_brute_force,
     verify_rdbp_iff,
 )
+from bridgeworks.reductions.rdbp import RdbpIffReport
 
 
 def dij(n, adj, s):
@@ -152,9 +153,8 @@ def test_minimum_budget_equals_cover_number(embedding, cover_size):
 @pytest.mark.parametrize("embedding", [k4_embedding, prism_embedding])
 def test_subsets_correspond_to_covers_exhaustively(embedding):
     points, edges = embedding()
-    rep = verify_rdbp_iff(points, edges)
-    assert rep.subsets_match_covers
-    assert rep.cover_size == rep.budget_size
+    c = len(vertex_cover_brute_force(len(points), edges))
+    assert verify_rdbp_iff(points, edges) == RdbpIffReport(c, c, True)
 
 
 def test_non_cover_subset_leaves_a_pair_unimproved():
@@ -196,3 +196,31 @@ def test_rejects_crossing_embedding():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
     with pytest.raises(ValueError):
         vc_to_rdbp(pts, edges, budget=1)
+
+
+def two_k4s_joined_by_a_bridge():
+    """Cubic planar, connected, with articulation vertices 4 and 9: K4 with
+    edge (0, 1) subdivided at vertex 4, its mirror image under y -> -y-3,
+    and the edge joining the two subdivision vertices."""
+    points, edges = k4_embedding()
+    points = points + [(2.0, -1.0)]
+    edges = [e for e in edges if e != (0, 1)] + [(0, 4), (4, 1)]
+    mirror = [(x, -y - 3) for x, y in points]
+    return points + mirror, edges + [(u + 5, v + 5) for u, v in edges] + [(4, 9)]
+
+
+def two_disjoint_k4s():
+    points, edges = k4_embedding()
+    shifted = [(x + 10, y) for x, y in points]
+    return points + shifted, edges + [(u + 4, v + 4) for u, v in edges]
+
+
+@pytest.mark.parametrize("graph,message", [
+    (two_disjoint_k4s, "graph is not connected"),
+    # the lowest-index vertex whose removal disconnects the rest is named
+    (two_k4s_joined_by_a_bridge, "vertex 4 is an articulation point"),
+])
+def test_rejects_graphs_that_are_not_2connected(graph, message):
+    points, edges = graph()
+    with pytest.raises(ValueError, match=message):
+        vc_to_rdbp(points, edges, budget=1)
