@@ -11,6 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .numerics import Number, TOLERANCE, exact_sqrt, is_exact, values_equal
@@ -55,6 +56,22 @@ def euclidean_distance(a: Point, b: Point) -> Number:
 # Weighted trees
 
 
+def _non_finite_row(rows: Sequence[tuple]) -> int | None:
+    """Index of the first row holding a float inf or NaN, or None.
+
+    Only floats are looked at: an int or Fraction is finite, and converting
+    a huge one to float would overflow. One sum of the floats clears a
+    finite input in C; a non-finite sum, which finite floats also reach by
+    overflow, scans the rows.
+    """
+    if math.isfinite(sum(filter(float.__instancecheck__, chain.from_iterable(rows)))):
+        return None
+    for i, row in enumerate(rows):
+        if any(isinstance(x, float) and not math.isfinite(x) for x in row):
+            return i
+    return None
+
+
 @dataclass(frozen=True)
 class WeightedTree:
     """A tree embedded in the plane.
@@ -76,10 +93,13 @@ class WeightedTree:
         labels: Sequence[str] | None = None,
         explicit_weights: bool = False,
     ):
-        pts = tuple(_as_point(p) for p in points)
+        pts = tuple(map(_as_point, points))
         n = len(pts)
         if n == 0:
             raise ValueError("tree needs at least one vertex")
+        bad = _non_finite_row(pts)
+        if bad is not None:
+            raise ValueError(f"vertex {bad} has a non-finite coordinate in {tuple(pts[bad])}")
         norm_edges = []
         for e in edges:
             e = tuple(e)
@@ -95,8 +115,8 @@ class WeightedTree:
             if explicit_weights:
                 if w is None:
                     raise ValueError("explicit_weights=True requires edge weights")
-                if w < 0:
-                    raise ValueError(f"negative edge weight {w}")
+                if not (w >= 0):  # NaN fails too
+                    raise ValueError(f"edge ({u},{v}) weight {w} is negative or NaN")
             else:
                 geo = euclidean_distance(pts[u], pts[v])
                 if w is None:
@@ -106,6 +126,11 @@ class WeightedTree:
                         f"edge ({u},{v}) weight {w} != embedded length {geo}"
                     )
             norm_edges.append((u, v, w))
+        if explicit_weights:
+            bad = _non_finite_row(norm_edges)
+            if bad is not None:
+                u, v, w = norm_edges[bad]
+                raise ValueError(f"edge ({u},{v}) weight {w} is not finite")
         if len(norm_edges) != n - 1:
             raise ValueError(f"tree on {n} vertices needs {n-1} edges, got {len(norm_edges)}")
         if labels is not None:

@@ -10,6 +10,12 @@ from the token's shape: a token with '/' is an exact rational, one with '.',
 non-finite values are rejected. Geometric trees serialize without the
 weight column; explicit trees keep it.
 
+Tree and graph text is read a whole column at a time: one split of the
+rows, bulk checks of their shapes, ids and endpoints, and one conversion
+per coordinate or weight column. The row loop that checks one row at a
+time only locates errors: it runs when the columnar pass declines a text,
+and it alone writes the error message with its line and column.
+
 SAT instances use the DIMACS-like form 'p cnf <vars> <clauses>' with three
 literals and a terminating 0 per clause line; 'c' lines are comments.
 """
@@ -19,9 +25,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, Sequence
 
-from .geometry import WeightedTree
+from .geometry import Point, WeightedTree
 from .numerics import Number
 
 if TYPE_CHECKING:
@@ -97,13 +104,12 @@ def _token_column(raw: str, tokens: list[str], idx: int) -> int:
 
 
 def _parse_cell(raw: str, tokens: list[str], idx: int, line: int) -> Number:
-    """parse_number with the token's column; the rows call it only after a
-    bare parse_number failed, since finding the column of every number took
-    a fifth of the parse time."""
     return parse_number(tokens[idx], line, _token_column(raw, tokens, idx))
 
 
-def _parse_points_edges(text: str, *, weights_allowed: bool):
+def _parse_rows(text: str, *, weights_allowed: bool):
+    """The row loop behind _parse_points_edges: checks one row at a time and
+    raises the ParseError, with its line and column, for the first fault."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty input")
@@ -133,10 +139,7 @@ def _parse_points_edges(text: str, *, weights_allowed: bool):
             raise ParseError(f"vertex id {vid} out of range 0..{n - 1}", ln, 1)
         if points[vid] is not None:
             raise ParseError(f"duplicate vertex id {vid}", ln, 1)
-        try:
-            points[vid] = (parse_number(toks[1]), parse_number(toks[2]))
-        except ParseError:
-            points[vid] = (_parse_cell(raw, toks, 1, ln), _parse_cell(raw, toks, 2, ln))
+        points[vid] = (_parse_cell(raw, toks, 1, ln), _parse_cell(raw, toks, 2, ln))
     edges = []
     saw_weight = False
     saw_bare = False
@@ -152,17 +155,80 @@ def _parse_points_edges(text: str, *, weights_allowed: bool):
                 raise ParseError(f"edge endpoint {e} out of range", ln, 1)
         if len(toks) == 3:
             saw_weight = True
-            try:
-                w = parse_number(toks[2])
-            except ParseError:
-                w = _parse_cell(raw, toks, 2, ln)
-            edges.append((u, v, w))
+            edges.append((u, v, _parse_cell(raw, toks, 2, ln)))
         else:
             saw_bare = True
             edges.append((u, v))
     if saw_weight and saw_bare:
         raise ParseError("mixed weighted and unweighted edge rows", lines[-1][0])
     return points, edges, saw_weight
+
+
+def _parse_column(tokens: Sequence[str]) -> list[Number]:
+    """parse_number of every token. A column whose tokens all hold a '.'
+    and no '/' is converted by one float() pass, where parse_number would
+    send each token; any token it cannot take raises ValueError."""
+    joined = "".join(tokens)
+    # float() takes at most one '.', so once it converts every token this
+    # count puts exactly one in each
+    if "/" not in joined and joined.count(".") == len(tokens):
+        values = list(map(float, tokens))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite value")
+        return values
+    return list(map(parse_number, tokens))
+
+
+def _parse_columns(text: str, *, weights_allowed: bool):
+    """_parse_rows' result from whole columns at a time, or None where the
+    text breaks a rule; a token no conversion takes raises ValueError."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = list(filter(None, map(str.split, lines)))
+    if not rows or len(rows[0]) != 2:
+        return None
+    n, m = map(int, rows[0])
+    if n < 1 or m < 0 or len(rows) != 1 + n + m:
+        return None
+    vertex_rows, edge_rows = rows[1 : 1 + n], rows[1 + n :]
+    if set(map(len, vertex_rows)) != {3}:
+        return None
+    ids, xs, ys = zip(*vertex_rows)
+    ids = list(map(int, ids))
+    order = list(range(n))
+    if ids != order:
+        if sorted(ids) != order:
+            return None
+        _, xs, ys = zip(*sorted(zip(ids, xs, ys)))
+    # tuple.__new__ builds each Point in C, where Point(x, y) runs Python code
+    points = list(map(tuple.__new__, repeat(Point), zip(_parse_column(xs), _parse_column(ys))))
+    if not edge_rows:
+        return points, [], False
+    widths = set(map(len, edge_rows))
+    if widths != {2} and not (weights_allowed and widths == {3}):
+        return None
+    us, vs, *weights = zip(*edge_rows)
+    us = list(map(int, us))
+    vs = list(map(int, vs))
+    if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
+        return None
+    if weights:
+        return points, list(zip(us, vs, _parse_column(weights[0]))), True
+    return points, list(zip(us, vs)), False
+
+
+def _parse_points_edges(text: str, *, weights_allowed: bool):
+    """(points, edges, explicit weights) of tree or graph text. Any text the
+    columnar pass declines goes to the row loop, which raises its error or,
+    were the text valid, returns the same result."""
+    try:
+        parsed = _parse_columns(text, weights_allowed=weights_allowed)
+    except ValueError:
+        parsed = None
+    if parsed is None:
+        parsed = _parse_rows(text, weights_allowed=weights_allowed)
+    return parsed
 
 
 def parse_tree(text: str) -> WeightedTree:
@@ -188,7 +254,7 @@ def serialize_tree(tree: WeightedTree) -> str:
 def parse_graph(text: str):
     """Unweighted geometric graph: same layout, bare edge rows."""
     points, edges, _ = _parse_points_edges(text, weights_allowed=False)
-    return points, [tuple(e[:2]) for e in edges]
+    return points, edges
 
 
 def serialize_graph(points, edges) -> str:

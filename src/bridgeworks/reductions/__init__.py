@@ -17,6 +17,7 @@ from .sat import (
 )
 from .cov import (
     CovInstance,
+    IffReport,
     OneBridgeReductionParams,
     cov_brute_force,
     cov_to_one_bridge,
@@ -26,6 +27,7 @@ from .cov import (
 )
 from .sums import (
     KSumInstance,
+    SumIffReport,
     ThreeSumInstance,
     carry_overflow_example,
     ksum_brute_force,
@@ -37,6 +39,7 @@ from .sums import (
     verify_threesum_iff,
 )
 from .rdbp import (
+    RdbpIffReport,
     RdbpInstance,
     k4_embedding,
     prism_embedding,
@@ -55,6 +58,7 @@ __all__ = [
     "one_in_three_sat_brute_force",
     "random_instance",
     "CovInstance",
+    "IffReport",
     "OneBridgeReductionParams",
     "cov_brute_force",
     "cov_to_one_bridge",
@@ -62,6 +66,7 @@ __all__ = [
     "vectors_complementary",
     "verify_one_bridge_iff",
     "KSumInstance",
+    "SumIffReport",
     "ThreeSumInstance",
     "carry_overflow_example",
     "ksum_brute_force",
@@ -71,6 +76,7 @@ __all__ = [
     "threesum_brute_force",
     "verify_ksum_iff",
     "verify_threesum_iff",
+    "RdbpIffReport",
     "RdbpInstance",
     "k4_embedding",
     "prism_embedding",

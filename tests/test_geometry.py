@@ -238,6 +238,32 @@ def test_tree_validation_rejects_bad_structure():
             WeightedTree(pts, dup)
 
 
+@pytest.mark.parametrize(
+    "points,edges,explicit,message",
+    [
+        ([(0, 0), (1, 0)], [(0, 1, math.nan)], True, "edge (0,1) weight nan is negative or NaN"),
+        ([(0, 0), (1, 0)], [(0, 1, -1)], True, "edge (0,1) weight -1 is negative or NaN"),
+        ([(0, 0), (1, 0), (2, 0)], [(0, 1, 1), (1, 2, math.inf)], True, "edge (1,2) weight inf is not finite"),
+        ([(0, 0), (1, math.nan)], [(0, 1)], False, "vertex 1 has a non-finite coordinate in (1, nan)"),
+        ([(-math.inf, 0), (1, 0)], [(0, 1, 1)], True, "vertex 0 has a non-finite coordinate in (-inf, 0)"),
+        ([(Fraction(1, 2), 0.5), (0.5, math.inf)], [(0, 1)], False,
+         "vertex 1 has a non-finite coordinate in (0.5, inf)"),
+    ],
+)
+def test_tree_rejects_non_finite_values_and_negative_weights(points, edges, explicit, message):
+    with pytest.raises(ValueError) as ei:
+        WeightedTree(points, edges, explicit_weights=explicit)
+    assert str(ei.value) == message
+
+
+def test_tree_accepts_finite_values_past_the_float_range():
+    # finite floats whose sum overflows, and ints too large for a float
+    big = WeightedTree([(1e308, 1e308), (1e308, 0.0)], [(0, 1, 1e308)], explicit_weights=True)
+    assert big.edges == ((0, 1, 1e308),)
+    huge = WeightedTree([(10**400, 0.5), (10**400, 1.5)], [(0, 1)])
+    assert huge.edges == ((0, 1, 1.0),)
+
+
 def test_euclidean_distance_exact_when_representable():
     a = (Fraction(0), Fraction(0))
     ax = euclidean_distance(WeightedTree([a, (Fraction(7), Fraction(0))], [(0, 1)]).points[0],

@@ -31,8 +31,11 @@ from bridgeworks import (
     solve_twin,
 )
 from bridgeworks.cli import main
+from bridgeworks.geometry import Point
 from bridgeworks.io import (
     ParseError,
+    _parse_columns,
+    _parse_rows,
     format_number,
     gen_random_tree,
     number_to_json,
@@ -158,23 +161,54 @@ def test_tree_text_comments_and_blank_lines():
     assert not t.explicit_weights
 
 
+def test_tree_text_line_ends_comments_and_id_order():
+    lf = "3 2\n0 0 0\n1 3 4\n2 1/2 2\n0 1\n1 2 \n"
+    variants = [
+        lf.replace("\n", "\r\n"),
+        lf.replace("\n", "\r"),
+        "3 2\n# vertices\n0 0 0\n1 3 4\n#\n2 1/2 2\n# edges\n0 1\n  # last\n1 2\n",
+        "3 2\n2 1/2 2\n1 3 4\n0 0 0\n0 1\n1 2\n",  # ids in reverse order
+    ]
+    want = parse_tree(lf)
+    for text in variants:
+        got = parse_tree(text)
+        assert got.points == want.points and got.edges == want.edges
+    single = parse_tree("1 0\n0 -0.0 7\n")
+    assert single.n == 1 and single.edges == ()
+    assert repr(single.points[0]) == "Point(x=-0.0, y=7)"
+
+
+# (text, line of the error or None, the whole message)
+TREE_PARSE_ERRORS = [
+    ("", None, "empty input"),
+    ("3\n", 1, "header must be 'n m' (line 1, column 1)"),
+    ("2 1\n0 0 0\n1 1 1\n0 1\n0 1\n", 5,  # extra content line
+     "expected 4 content lines for n=2, m=1, got 5 (line 5)"),
+    ("2 1\n0 0 0\n0 1 1\n0 1\n", 3, "duplicate vertex id 0 (line 3, column 1)"),
+    ("2 1\n0 0 0\n5 1 1\n0 1\n", 3, "vertex id 5 out of range 0..1 (line 3, column 1)"),
+    ("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1 5\n1 2\n", 6, "mixed weighted and unweighted edge rows (line 6)"),
+    ("2 1\n0 0 0\n1 1 1\n0 9\n", 4, "edge endpoint 9 out of range (line 4, column 1)"),
+    ("2 1\r\n0 0 0\r\n1 1 1\r\n0 9\r\n", 4, "edge endpoint 9 out of range (line 4, column 1)"),
+    ("2 1\r0 0 0\r\r1 1 x\r0 1\r", 4, "bad numeric literal 'x' (line 4, column 5)"),
+    ("3 2\n# vertices\n0 0 0\n# middle\n1 1 0\n2 2 0\n# edges\n0 1\n# more\n1 x\n", 10,
+     "edge endpoints must be integers (line 10, column 1)"),
+    ("3 2\n2 2 0\n1 1 0\n1 0 0\n0 1\n1 2\n", 4,  # reverse order, 1 twice
+     "duplicate vertex id 1 (line 4, column 1)"),
+    ("1 0\n0 0 0\n0 0\n", 3, "expected 2 content lines for n=1, m=0, got 3 (line 3)"),
+    ("2 1\n0 0.5 0.5\n1 inf 1.5\n0 1\n", 3, "non-finite literal 'inf' (line 3, column 3)"),
+    ("2 1\n0 0.5 0.5\n1 1.5 1.5\n0 1 1.5e999\n", 4, "non-finite literal '1.5e999' (line 4, column 5)"),
+    ("2 1\n0 0 0\n1 1 1\n0 1 -0.5\n", None, "edge (0,1) weight -0.5 is negative or NaN"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,line",
-    [
-        ("", None),
-        ("3\n", 1),
-        ("2 1\n0 0 0\n1 1 1\n0 1\n0 1\n", 5),  # extra content line
-        ("2 1\n0 0 0\n0 1 1\n0 1\n", 3),  # duplicate id
-        ("2 1\n0 0 0\n5 1 1\n0 1\n", 3),  # id out of range
-        ("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1 5\n1 2\n", 6),  # mixed edge rows
-        ("2 1\n0 0 0\n1 1 1\n0 9\n", 4),  # endpoint out of range
-    ],
+    "text,line,message", [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in TREE_PARSE_ERRORS]
 )
-def test_tree_parse_errors_point_at_the_line(text, line):
+def test_tree_parse_errors_point_at_the_line(text, line, message):
     with pytest.raises(ParseError) as ei:
         parse_tree(text)
-    if line is not None:
-        assert ei.value.line == line
+    assert ei.value.line == line
+    assert str(ei.value) == message
 
 
 @pytest.mark.parametrize(
@@ -193,6 +227,45 @@ def test_tree_parse_errors_point_at_the_bad_number(text, line, column):
     assert f"(line {line}, column {column})" in str(ei.value)
 
 
+def _typed(parsed):
+    points, edges, explicit = parsed
+    return (
+        [(type(x), repr(x)) for p in points for x in p],
+        [(type(x), repr(x)) for e in edges for x in e],
+        explicit,
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *(
+            serialize_tree(t)
+            for t in (
+                gen_random_tree(300, 11),
+                gen_random_tree(120, 12, bbox=(-5, -5, 5, 5)),
+                gen_random_tree(200, 13, grid=True, bbox=(0, 0, 30, 30)),
+                gen_random_tree(150, 14, grid=True, bbox=(0, 0, 400, 0)),
+                gen_random_tree(250, 15, grid=True, bbox=(0, 0, 30, 30), explicit_weight_range=(0, 3)),
+                gen_random_tree(350, 16, bbox=(400.0, 0.0, 500.0, 100.0)),  # bridge-float's shape
+                gen_random_tree(150, 17, bbox=(0.0, 0.0, 100.0, 100.0)),
+                explicit_tree(),
+            )
+        ),
+        "3 2\n0 0.5 1.5\n1 1e3 2.5\n2 3.5 4.5\n0 1\n1 2\n",  # one 1e3 in a float column
+        "3 2\n2 7 -3\n0 0 0\n1 12 5\n0 1\n1 2\n",  # int columns, ids out of order
+        "3 2\n0 1/2 0\n1 7/3 0\n2 -5/4 0\n0 1 2/3\n1 2 5/6\n",  # Fraction columns
+        "3 2\n0 -0.0 0.5\n1 1/2 2\n2 3.0 7\n0 1 -0.0\n1 2 2.5\n",  # -0.0 and mixed columns
+        "1 0\n0 1.5 -0.0\n",
+    ],
+)
+def test_columnar_parse_equals_the_row_loop(text):
+    columns = _parse_columns(text, weights_allowed=True)
+    assert columns is not None
+    assert _typed(columns) == _typed(_parse_rows(text, weights_allowed=True))
+    assert all(type(p) is Point for p in columns[0])  # WeightedTree keeps them as they are
+
+
 # -------------------------------------------------------------- graphs, sat
 
 def test_graph_round_trip_and_weight_rejection():
@@ -201,8 +274,9 @@ def test_graph_round_trip_and_weight_rejection():
     text = serialize_graph(pts, edges)
     p2, e2 = parse_graph(text)
     assert p2 == pts and e2 == edges
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as ei:
         parse_graph("2 1\n0 0 0\n1 1 1\n0 1 5\n")
+    assert str(ei.value) == "edge row must be 'u v' or 'u v weight' (line 4, column 1)"
 
 
 def test_sat_round_trip_and_errors():

@@ -14,6 +14,7 @@ import pytest
 
 from bridgeworks import PlanarGraph, validate_planar
 from bridgeworks.reductions import (
+    RdbpIffReport,
     k4_embedding,
     prism_embedding,
     rdbp_brute_force,
@@ -23,7 +24,6 @@ from bridgeworks.reductions import (
     vertex_cover_brute_force,
     verify_rdbp_iff,
 )
-from bridgeworks.reductions.rdbp import RdbpIffReport
 
 
 def dij(n, adj, s):

@@ -50,6 +50,15 @@ def test_exported_names_resolve(package):
     assert not missing, (package, missing)
 
 
+def test_verify_report_types_are_exported():
+    # a caller that builds or type-checks a verify report imports its type from the package
+    reductions = importlib.import_module("bridgeworks.reductions")
+    returned = {getattr(reductions, name).__annotations__["return"]
+                for name in reductions.__all__ if name.startswith("verify_")}
+    assert returned == {"IffReport", "SumIffReport", "RdbpIffReport"}
+    assert returned <= set(reductions.__all__)
+
+
 def test_solver_commands_do_not_import_reductions_or_thread_pools():
     # the reductions and concurrent.futures load only in the code that uses them
     env = {k: v for k, v in os.environ.items() if k != "BRIDGEWORKS_BACKEND"}
