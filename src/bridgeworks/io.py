@@ -226,9 +226,7 @@ def _parse_points_edges(text: str, *, weights_allowed: bool):
         parsed = _parse_columns(text, weights_allowed=weights_allowed)
     except ValueError:
         parsed = None
-    if parsed is None:
-        parsed = _parse_rows(text, weights_allowed=weights_allowed)
-    return parsed
+    return parsed or _parse_rows(text, weights_allowed=weights_allowed)
 
 
 def parse_tree(text: str) -> WeightedTree:
