@@ -20,6 +20,7 @@ import numpy as np
 from .geometry import (
     Point,
     WeightedTree,
+    _non_finite_row,
     build_distance_table,  # noqa: F401  unused; perfbench/tracing.py patches this name
     center_vertex,
     euclidean_distance,
@@ -91,17 +92,26 @@ def solve_exact(
 ) -> BridgeSolution:
     """Optimal bridge, scoring only the vertex pairs that can still win.
 
-    A pair scores ecc1(p) + |pq| + ecc2(q) >= ecc1(p) + ecc2(q). The scan
-    orders each tree's vertices by (eccentricity, index), takes the two
-    centres' score as the incumbent, and scores a pair only while
-    ecc1(p) + ecc2(q) is at most the incumbent (the threshold algorithm's
-    stopping rule), keeping ties for the lex-min (value, p, q). After
-    O(n1 + n2) tree sweeps and the sorts, the cost is the number of pairs
-    scored: about 1% of n1 * n2 on the benchmark's float trees and on
-    collinear Fraction trees, and all of them, O(n1 * n2), when the trees
-    lie far apart. `threads` (>= 1) splits the float scan
-    once its pairs fill two or more chunks; on a 2-vCPU host a second
-    thread pays only from n of about 2000 up."""
+    A pair scores ecc1(p) + |pq| + ecc2(q). The scan takes the two
+    centres' score as the incumbent and scores a pair only when a lower
+    bound on its score is at most the incumbent, keeping ties for the
+    lex-min (value, p, q).
+    - Exact input orders each tree's vertices by (eccentricity, index)
+      and bounds a pair by ecc1(p) + ecc2(q) (the threshold algorithm's
+      stopping rule). It scores about 1% of n1 * n2 on collinear Fraction
+      trees, and all of them, O(n1 * n2), when the trees lie far apart.
+    - Float input cuts T2 into blocks of 128 vertices in (x, y) order and
+      bounds p against a block by ecc1(p) + the block's least ecc2 + the
+      larger axis distance from p to the block's bounding box. That costs
+      n1 * n2 / 128 bounds plus 128 scores per (p, block) kept: about 3%
+      of n1 * n2 scored on the benchmark's trees, and about 0.01% on
+      2000-vertex trees side by side or 10**5 apart. Ties at the minimum
+      everywhere still make it O(n1 * n2).
+    The sweeps and sorts add O(n1 + n2) and O(n log n). `threads` (>= 1)
+    splits the float scan's row chunks among worker threads once there
+    are two or more. On a 2-vCPU host a second thread paid at no n tried
+    from 350 to 10**4: at 350 one chunk holds every row, and from 2000 up
+    two threads were slower than one."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     mode = _resolve_mode(t1, t2)
@@ -177,27 +187,7 @@ def _scan_exact(t1, t2, e1, e2):
 def _scan_double(t1, t2, ecc1, ecc2, threads):
     x1, y1 = _float_xy(t1.points)
     x2, y2 = _float_xy(t2.points)
-    e1, e2 = _floats(ecc1), _floats(ecc2)
-
-    def values(lo: int, hi: int) -> np.ndarray:
-        return _scores(x1[lo:hi, None] - x2, y1[lo:hi, None] - y2, e1[lo:hi, None], e2)
-
-    # A score is fl(fl(hypot + e1) + e2) >= fl(e1 + e2) (monotone
-    # rounding), so with columns sorted by e2, row p keeps the prefix with
-    # fl(e1[p] + e2) <= the centres' score.
-    order = np.argsort(e2, kind="stable")
-    x2s, y2s, e2s = x2[order], y2[order], e2[order]
-
-    def pair_values(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return _scores(x1[i] - x2s[j], y1[i] - y2s[j], e1[i], e2s[j])
-
-    centres = np.array([np.argmin(e1)]), np.zeros(1, dtype=np.intp)
-    inc = pair_values(*centres)[0]
-    hi = np.searchsorted(e2s, _widened(inc) - e1, side="right")
-    if _prunes(hi.sum(), x1, y1, x2, y2, e1, e2):
-        val, p, q = _windowed_argmin(np.zeros_like(hi), hi, order, pair_values, threads)
-    else:
-        val, p, q = _chunked_argmin(len(x1), len(x2), values, threads)
+    val, p, q = _blocked_argmin(x1, y1, x2, y2, _floats(ecc1), _floats(ecc2), threads)
     return p, q, val
 
 
@@ -205,6 +195,9 @@ def _scan_double(t1, t2, ecc1, ecc2, threads):
 # about this many float64 entries (64 KiB): it stays in cache, and a scan's
 # memory does not grow with n1 * n2.
 _CHUNK_ENTRIES = 2**13
+
+# Points per column block of a float scan; each block has one bound per row.
+_BLOCK = 128
 
 
 def _scores(dx, dy, e1, e2) -> np.ndarray:
@@ -233,23 +226,6 @@ def _float_xy(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
     return xy[0::2].copy(), xy[1::2].copy()
 
 
-def _prunes(kept: int, x1, y1, x2, y2, *more) -> bool:
-    """Whether a windowed scan of `kept` pairs beats the full scan: a
-    flat-indexed pair costs about twice a broadcast one, and non-finite
-    input (whose bounds prove nothing) always takes the full scan."""
-    return 2 * kept < len(x1) * len(x2) and all(
-        np.isfinite(a).all() for a in (x1, y1, x2, y2, *more)
-    )
-
-
-def _widened(bound: float) -> float:
-    """A float above `bound` by a few ulps. A pair whose float lower bound
-    a + b is at most `bound` has b <= fl(_widened(bound) - a), so a sorted
-    search with the widened value keeps every such pair (and perhaps a few
-    more, which are scored and lose)."""
-    return bound + abs(bound) * 2.0**-50
-
-
 def _min_over_chunks(chunk_min, chunks: Sequence, threads: int):
     """min(map(chunk_min, chunks)); with threads > 1 and two or more chunks,
     each of up to `threads` workers takes every threads-th chunk."""
@@ -262,40 +238,71 @@ def _min_over_chunks(chunk_min, chunks: Sequence, threads: int):
         return min(ex.map(lambda k: min(map(chunk_min, chunks[k::workers])), range(workers)))
 
 
-def _chunked_argmin(n1: int, n2: int, values, threads: int = 1) -> tuple[float, int, int]:
-    """Lex-min (value, row, column) of the n1 x n2 matrix whose rows lo:hi
-    values(lo, hi) computes, one chunk of rows at a time, so memory stays
-    one chunk per worker."""
-    step = max(1, _CHUNK_ENTRIES // n2)
+def _blocked_argmin(x1, y1, x2, y2, a=None, b=None, threads: int = 1) -> tuple[float, int, int]:
+    """Lex-min (s, i, j) over every pair of a point i of set 1 and a point j
+    of set 2, where s is the bridge score `_scores` of dx, dy, a[i], b[j]
+    with weights a, b, and the squared distance `_squares` without.
+
+    Set 2 is sorted by (x, y), padded to whole blocks by repeating its last
+    point (a repeat only rescores a real pair) and cut into blocks of
+    _BLOCK points. With dx, dy the distances from point i to a block's
+    bounding box along x and y, the bound of row i and the block is
+    a[i] + max(dx, dy) + the block's least b with weights, and
+    dx*dx + dy*dy without. A row and a block are scored only when their
+    bound is at most the incumbent: the best of the pair of least weights
+    (with weights) or of each row's nearest points in x (without). Rows go
+    in chunks of about _CHUNK_ENTRIES bounds and the pairs kept are scored
+    in pieces of about _CHUNK_ENTRIES, so memory stays one chunk per
+    worker.
+    """
+    n1 = len(x1)
+    order = np.lexsort((y2, x2))
+    order = np.append(order, np.repeat(order[-1], -len(order) % _BLOCK))
+    xs, ys = x2[order], y2[order]
+    by = ys.reshape(-1, _BLOCK)
+    x_lo, x_hi, y_lo, y_hi = xs[::_BLOCK], xs[_BLOCK - 1::_BLOCK], by.min(axis=1), by.max(axis=1)
+    n_blocks = len(x_lo)
+
+    if a is None:
+        at = np.searchsorted(xs, x1)
+        i, j = np.tile(np.arange(n1), 2), np.clip(np.concatenate([at - 1, at]), 0, len(xs) - 1)
+    else:
+        bs = b[order]
+        b_min = bs.reshape(-1, _BLOCK).min(axis=1)
+        i, j = np.argmin(a), np.argmin(bs)
+
+    def score(i, j):
+        dx, dy = x1[i] - xs[j], y1[i] - ys[j]
+        return _squares(dx, dy) if a is None else _scores(dx, dy, a[i], bs[j])
+
+    inc = score(i, j).min()
+    rows = max(1, _CHUNK_ENTRIES // n_blocks)
+    pairs = max(1, _CHUNK_ENTRIES // _BLOCK)
+
+    def piece_min(i: np.ndarray, k: np.ndarray) -> tuple[float, int, int]:
+        j = k[:, None] * _BLOCK + np.arange(_BLOCK)
+        vals = score(i[:, None], j)
+        best = vals.min()
+        r, c = np.nonzero(vals == best)
+        return (float(best), *min(zip(i[r].tolist(), order[j[r, c]].tolist())))
 
     def chunk_min(lo: int) -> tuple[float, int, int]:
-        vals = values(lo, min(lo + step, n1))
-        r, c = divmod(int(np.argmin(vals)), n2)   # first occurrence = lex-min
-        return (float(vals[r, c]), lo + r, c)
+        # d is at most the float score of every pair of row i with the
+        # block, so it needs no slack and keeps every tie of the minimum.
+        # Rounding is monotone: a box distance is at most the pair's
+        # |fl(x1 - x2)| (or y), a hypot within one ulp is at least the
+        # larger of the two (a float below the real hypot), and each
+        # square or sum in d rounds operands no larger than the score's.
+        x, y = x1[lo:lo + rows, None], y1[lo:lo + rows, None]
+        dx = np.maximum(np.maximum(x_lo - x, x - x_hi), 0.0)
+        dy = np.maximum(np.maximum(y_lo - y, y - y_hi), 0.0)
+        d = dx * dx + dy * dy if a is None else np.maximum(dx, dy) + a[lo:lo + rows, None] + b_min
+        i, k = np.divmod(np.flatnonzero(d <= inc), n_blocks)
+        i += lo
+        return min((piece_min(i[s:s + pairs], k[s:s + pairs]) for s in range(0, len(i), pairs)),
+                   default=(math.inf, n1, 0))
 
-    return _min_over_chunks(chunk_min, range(0, n1, step), threads)
-
-
-def _windowed_argmin(lo, hi, col_ids, values, threads: int = 1) -> tuple[float, int, int]:
-    """Lex-min (value, i, col_ids[j]) over the pairs with lo[i] <= j < hi[i];
-    values(i, j) scores flat index arrays of them. Rows go into chunks of
-    about _CHUNK_ENTRIES pairs (a wider row is a chunk of its own), so
-    memory stays one chunk per worker."""
-    width = hi - lo
-    live = np.flatnonzero(width)
-    start = np.cumsum(width[live]) - width[live]
-    chunks = np.split(live, np.flatnonzero(np.diff(start // _CHUNK_ENTRIES)) + 1)
-
-    def chunk_min(rows: np.ndarray) -> tuple[float, int, int]:
-        w = width[rows]
-        i = np.repeat(rows, w)
-        j = np.arange(len(i)) - np.repeat(np.cumsum(w) - w - lo[rows], w)
-        vals = values(i, j)
-        best = vals.min()
-        hits = np.flatnonzero(vals == best)
-        return (float(best), *min(zip(i[hits].tolist(), col_ids[j[hits]].tolist())))
-
-    return _min_over_chunks(chunk_min, chunks, threads)
+    return _min_over_chunks(chunk_min, range(0, n1, rows), threads)
 
 
 def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
@@ -305,8 +312,8 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     pair minimizes |pq|, and any bridge value is at least max(r1, r2) with
     r_i the tree radius, which bounds the eccentricity overshoot. Backend
     as in solve_exact. Cost: O(n1 + n2) tree sweeps plus the closest pair,
-    which scores only the pairs within reach in x: output-sensitive, and
-    O(n1 * n2) in the worst case.
+    which scores only the pairs its bound cannot rule out:
+    output-sensitive, and O(n1 * n2) in the worst case.
     """
     _resolve_mode(t1, t2)  # raises when rational is forced on inexact trees
     p, q, blen = bichromatic_closest_pair(t1.points, t2.points)
@@ -336,19 +343,27 @@ def bichromatic_closest_pair(
 ) -> tuple[int, int, Number]:
     """Closest pair across the two point sets; ties by lex-min (i, j).
 
-    pts2 is sorted by x, the incumbent is the closest of each point's
-    nearest neighbours in x, and a pair is scored only when dx * dx is at
-    most the incumbent squared distance. Exact input does this in exact
-    arithmetic on squared distances, with no square root; float input
-    takes numpy chunks with bounded memory and computes the same IEEE
-    dx*dx + dy*dy, so both agree with a full scan. The cost is
-    O((n1 + n2) log n2) plus the pairs scored, O(n1 * n2) in the worst
-    case (every point within the incumbent distance in x). An empty side
-    raises ValueError.
+    The incumbent is the closest of each point's nearest neighbours in x
+    of pts2. Exact input sorts pts2 by x and scores a pair only when
+    dx * dx is at most the incumbent squared distance, in exact arithmetic
+    with no square root: O(n1 * n2) in the worst case, every point within
+    reach in x. Float input cuts pts2 into blocks of 128 points in (x, y)
+    order and scores a point against a block only when its squared
+    distance to the block's bounding box is at most the incumbent, in
+    numpy chunks of bounded memory. It computes the same IEEE
+    dx*dx + dy*dy as a full scan, so the two agree. That costs
+    n1 * n2 / 128 bounds plus 128 scores per (point, block) kept: under
+    0.25% of n1 * n2 scored on 2000-point sets side by side, 10**5 apart
+    in x or 1000 apart in y, and O(n1 * n2) when every pair ties at the
+    minimum. An empty side, or a float coordinate that is NaN or
+    infinite, raises ValueError naming the side.
     """
     for name, pts in (("pts1", pts1), ("pts2", pts2)):
         if len(pts) == 0:
             raise ValueError(f"closest pair needs a point on each side; {name} is empty")
+        bad = _non_finite_row(pts)
+        if bad is not None:
+            raise ValueError(f"{name}[{bad}] has a non-finite coordinate in {tuple(pts[bad])}")
     if all(is_exact(p.x) and is_exact(p.y) for p in (*pts1, *pts2)):
         i, j = _closest_pair_exact(pts1, pts2)
     else:
@@ -379,30 +394,7 @@ def _closest_pair_exact(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[i
 
 
 def _closest_pair_double(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[int, int]:
-    x1, y1 = _float_xy(pts1)
-    x2, y2 = _float_xy(pts2)
-
-    def squared(lo: int, hi: int) -> np.ndarray:
-        return _squares(x1[lo:hi, None] - x2, y1[lo:hi, None] - y2)
-
-    order = np.argsort(x2, kind="stable")
-    x2s, y2s = x2[order], y2[order]
-
-    def pair_squared(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return _squares(x1[i] - x2s[j], y1[i] - y2s[j])
-
-    # fl(dx*dx) <= inc needs |x1 - x2| <= sqrt(inc) * (1 + 2**-52); a
-    # float x2 inside that real interval lies between the rounded ends
-    at = np.searchsorted(x2s, x1)
-    near = np.clip(np.concatenate([at - 1, at]), 0, len(x2s) - 1)
-    inc = pair_squared(np.tile(np.arange(len(x1)), 2), near).min()
-    reach = math.sqrt(inc) * (1 + 2.0**-48)
-    lo = np.searchsorted(x2s, x1 - reach, side="left")
-    hi = np.searchsorted(x2s, x1 + reach, side="right")
-    if _prunes((hi - lo).sum(), x1, y1, x2, y2):
-        _, i, j = _windowed_argmin(lo, hi, order, pair_squared)
-    else:
-        _, i, j = _chunked_argmin(len(x1), len(x2), squared)
+    _, i, j = _blocked_argmin(*_float_xy(pts1), *_float_xy(pts2))
     return i, j
 
 

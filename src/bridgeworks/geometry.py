@@ -119,6 +119,8 @@ class WeightedTree:
                     raise ValueError(f"edge ({u},{v}) weight {w} is negative or NaN")
             else:
                 geo = euclidean_distance(pts[u], pts[v])
+                if geo == math.inf:   # hypot of finite coordinates overflowed
+                    raise ValueError(f"edge ({u},{v}) embedded length {geo} is not finite")
                 if w is None:
                     w = geo
                 elif not values_equal(w, geo):

@@ -248,6 +248,8 @@ def test_tree_validation_rejects_bad_structure():
         ([(-math.inf, 0), (1, 0)], [(0, 1, 1)], True, "vertex 0 has a non-finite coordinate in (-inf, 0)"),
         ([(Fraction(1, 2), 0.5), (0.5, math.inf)], [(0, 1)], False,
          "vertex 1 has a non-finite coordinate in (0.5, inf)"),
+        # finite coordinates whose embedded length overflows
+        ([(1e308, 0.0), (-1e308, 0.0)], [(0, 1)], False, "edge (0,1) embedded length inf is not finite"),
     ],
 )
 def test_tree_rejects_non_finite_values_and_negative_weights(points, edges, explicit, message):
