@@ -84,12 +84,7 @@ def _eccentricity(t: WeightedTree, v: int) -> tuple[Number, int]:
     return first_argmax(single_source_tree_distances(t, v))
 
 
-def solve_exact(
-    t1: WeightedTree,
-    t2: WeightedTree,
-    *,
-    threads: int = 1,
-) -> BridgeSolution:
+def solve_exact(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     """Optimal bridge, scoring only the vertex pairs that can still win.
 
     A pair scores ecc1(p) + |pq| + ecc2(q). The scan takes the two
@@ -107,19 +102,13 @@ def solve_exact(
       of n1 * n2 scored on the benchmark's trees, and about 0.01% on
       2000-vertex trees side by side or 10**5 apart. Ties at the minimum
       everywhere still make it O(n1 * n2).
-    The sweeps and sorts add O(n1 + n2) and O(n log n). `threads` (>= 1)
-    splits the float scan's row chunks among worker threads once there
-    are two or more. On a 2-vCPU host a second thread paid at no n tried
-    from 350 to 10**4: at 350 one chunk holds every row, and from 2000 up
-    two threads were slower than one."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    The sweeps and sorts add O(n1 + n2) and O(n log n)."""
     mode = _resolve_mode(t1, t2)
     ecc1 = tree_eccentricities(t1)
     ecc2 = tree_eccentricities(t2)
 
     if mode == "double":
-        p, q, val = _scan_double(t1, t2, ecc1.ecc, ecc2.ecc, threads)
+        p, q, val = _scan_double(t1, t2, ecc1.ecc, ecc2.ecc)
         blen = math.hypot(
             float(t1.points[p].x) - float(t2.points[q].x),
             float(t1.points[p].y) - float(t2.points[q].y),
@@ -184,10 +173,10 @@ def _scan_exact(t1, t2, e1, e2):
     return p, q, w
 
 
-def _scan_double(t1, t2, ecc1, ecc2, threads):
+def _scan_double(t1, t2, ecc1, ecc2):
     x1, y1 = _float_xy(t1.points)
     x2, y2 = _float_xy(t2.points)
-    val, p, q = _blocked_argmin(x1, y1, x2, y2, _floats(ecc1), _floats(ecc2), threads)
+    val, p, q = _blocked_argmin(x1, y1, x2, y2, _floats(ecc1), _floats(ecc2))
     return p, q, val
 
 
@@ -226,19 +215,7 @@ def _float_xy(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
     return xy[0::2].copy(), xy[1::2].copy()
 
 
-def _min_over_chunks(chunk_min, chunks: Sequence, threads: int):
-    """min(map(chunk_min, chunks)); with threads > 1 and two or more chunks,
-    each of up to `threads` workers takes every threads-th chunk."""
-    workers = min(threads, len(chunks))
-    if workers <= 1:
-        return min(map(chunk_min, chunks))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return min(ex.map(lambda k: min(map(chunk_min, chunks[k::workers])), range(workers)))
-
-
-def _blocked_argmin(x1, y1, x2, y2, a=None, b=None, threads: int = 1) -> tuple[float, int, int]:
+def _blocked_argmin(x1, y1, x2, y2, a=None, b=None) -> tuple[float, int, int]:
     """Lex-min (s, i, j) over every pair of a point i of set 1 and a point j
     of set 2, where s is the bridge score `_scores` of dx, dy, a[i], b[j]
     with weights a, b, and the squared distance `_squares` without.
@@ -252,8 +229,8 @@ def _blocked_argmin(x1, y1, x2, y2, a=None, b=None, threads: int = 1) -> tuple[f
     bound is at most the incumbent: the best of the pair of least weights
     (with weights) or of each row's nearest points in x (without). Rows go
     in chunks of about _CHUNK_ENTRIES bounds and the pairs kept are scored
-    in pieces of about _CHUNK_ENTRIES, so memory stays one chunk per
-    worker.
+    in pieces of about _CHUNK_ENTRIES, so memory stays one chunk and one
+    piece at a time, whatever n1 * n2.
     """
     n1 = len(x1)
     order = np.lexsort((y2, x2))
@@ -302,7 +279,7 @@ def _blocked_argmin(x1, y1, x2, y2, a=None, b=None, threads: int = 1) -> tuple[f
         return min((piece_min(i[s:s + pairs], k[s:s + pairs]) for s in range(0, len(i), pairs)),
                    default=(math.inf, n1, 0))
 
-    return _min_over_chunks(chunk_min, range(0, n1, rows), threads)
+    return min(map(chunk_min, range(0, n1, rows)))
 
 
 def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
@@ -358,16 +335,21 @@ def bichromatic_closest_pair(
     minimum. An empty side, or a float coordinate that is NaN or
     infinite, raises ValueError naming the side.
     """
+    exact = all(is_exact(p.x) and is_exact(p.y) for p in (*pts1, *pts2))
+    xy: list[np.ndarray] = []
     for name, pts in (("pts1", pts1), ("pts2", pts2)):
         if len(pts) == 0:
             raise ValueError(f"closest pair needs a point on each side; {name} is empty")
-        bad = _non_finite_row(pts)
-        if bad is not None:
-            raise ValueError(f"{name}[{bad}] has a non-finite coordinate in {tuple(pts[bad])}")
-    if all(is_exact(p.x) and is_exact(p.y) for p in (*pts1, *pts2)):
+        if not exact:
+            # only a float is NaN or infinite; the row loop runs only to name it
+            xy += _float_xy(pts)
+            if not np.isfinite(xy[-2:]).all():
+                bad = _non_finite_row(pts)
+                raise ValueError(f"{name}[{bad}] has a non-finite coordinate in {tuple(pts[bad])}")
+    if exact:
         i, j = _closest_pair_exact(pts1, pts2)
     else:
-        i, j = _closest_pair_double(pts1, pts2)
+        _, i, j = _blocked_argmin(*xy)
     return i, j, euclidean_distance(pts1[i], pts2[j])
 
 
@@ -391,11 +373,6 @@ def _closest_pair_exact(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[i
                     break
                 best = min(best, key(i, order[k]))
     return best[1], best[2]
-
-
-def _closest_pair_double(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[int, int]:
-    _, i, j = _blocked_argmin(*_float_xy(pts1), *_float_xy(pts2))
-    return i, j
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ Every solver follows BRIDGEWORKS_BACKEND (rational or double) as the
 library does. Scaling measurements live in the perfbench/ harness.
 
 Exit codes: 0 solved / verified true, 1 decision false or verification
-disagreement, 2 input or usage error. --json prints a run report whose
-bytes are reproducible except for duration_ms.
+disagreement, 2 input or usage error (an arithmetic overflow on the input
+included). --json prints a run report whose bytes are reproducible except
+for duration_ms.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _cmd_bridge(args) -> int:
             0,
         )
     if args.mode == "exact":
-        sol = solve_exact(t1, t2, threads=args.threads)
+        sol = solve_exact(t1, t2)
     else:
         sol = approx_greedy(t1, t2)
     if args.emit_dot:
@@ -349,12 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         bp.add_argument("t2")
         common(bp)
         if mode == "exact":
-            bp.add_argument("--threads", type=int, default=1,
-                            help="worker threads for the float scan, >= 1 (default 1), "
-                                 "started only when its rows fill two or more chunks; the "
-                                 "scan scores only the pairs whose block bound can still win "
-                                 "(O(n1*n2) for exact trees far apart); on 2 vCPUs a second "
-                                 "thread was never faster, n = 350 to 10000")
+            # accepted for old command lines; leaves with ROADMAP item 8b
+            bp.add_argument("--threads", type=int, choices=(1,), help="only 1 (no effect)")
             bp.add_argument("--emit-dot", metavar="PATH")
         if mode == "decide":
             bp.add_argument("--c1", required=True)
@@ -444,7 +441,7 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -232,7 +232,7 @@ def test_closest_pair_rejects_non_finite_coordinates(bad):
         assert str(ei.value) == want
 
 
-def test_threads_do_not_change_result(monkeypatch):
+def test_chunk_sizes_do_not_change_result(monkeypatch):
     # one-row chunks put every tie across a chunk boundary; n1 * n2 entries
     # scan the whole matrix as one chunk
     cases = [float_pair(17, n_max=20), *(tie_rich_float_pair(s, (0, 0)) for s in (0, 1)),
@@ -242,9 +242,8 @@ def test_threads_do_not_change_result(monkeypatch):
         got = set()
         for entries in (1, bridgeworks.bridge._CHUNK_ENTRIES, t1.n * t2.n):
             monkeypatch.setattr(bridgeworks.bridge, "_CHUNK_ENTRIES", entries)
-            for threads in (1, 2, 4):
-                sol = solve_exact(t1, t2, threads=threads)
-                got.add((sol.p, sol.q, sol.value))
+            sol = solve_exact(t1, t2)
+            got.add((sol.p, sol.q, sol.value))
             assert bichromatic_closest_pair(t1.points, t2.points) == closest
         assert len(got) == 1
         (p, q, value), = got
@@ -252,14 +251,6 @@ def test_threads_do_not_change_result(monkeypatch):
         assert (p, q) == want[1:] and math.isclose(value, want[0], rel_tol=1e-12)
     # the tie-rich pairs tie at the optimum on several rows
     assert all(len(tied_rows(*pair, oracle_best_bridge(*pair)[0])) >= 5 for pair in cases[1:])
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_thread_counts_below_one_are_rejected(threads):
-    # before any work, on exact and float input alike
-    for t1, t2 in (rational_pair(3), float_pair(17)):
-        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
-            solve_exact(t1, t2, threads=threads)
 
 
 def test_float_scans_score_few_pairs_when_the_distance_decides(monkeypatch):
@@ -294,8 +285,7 @@ def test_float_scans_have_bounded_memory():
     t1 = gen_random_tree(2000, 1)
     for t2 in (gen_random_tree(2000, 2, bbox=(150, 0, 250, 100)),
                gen_random_tree(2000, 2, bbox=(10**5, 0, 10**5 + 100, 100))):
-        for run in (lambda: solve_exact(t1, t2), lambda: solve_exact(t1, t2, threads=2),
-                    lambda: approx_greedy(t1, t2)):
+        for run in (lambda: solve_exact(t1, t2), lambda: approx_greedy(t1, t2)):
             tracemalloc.start()
             try:
                 run()

@@ -626,12 +626,31 @@ def test_cli_crlf_input_parses_as_lf_and_digests_its_bytes(tree_files, tmp_path,
     assert code == 2 and out == "" and "error:" in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "2"])
 def test_cli_rejects_thread_counts_below_one(tree_files, capsys, threads):
+    # --threads stays for old command lines, which pass 1; any other count is a usage error
     p1, p2, _, _ = tree_files
     code, out, err = run_cli(capsys, "bridge", "exact", p1, p2, "--threads", threads)
     assert code == 2 and out == ""
-    assert f"threads must be >= 1, got {threads}" in err
+    assert "--threads" in err and "invalid choice" in err
+    _, flagless = report_of(capsys, "bridge", "exact", p1, p2, "--json")
+    _, one = report_of(capsys, "bridge", "exact", p1, p2, "--threads", "1", "--json")
+    for rep in (flagless, one):
+        del rep["command"], rep["duration_ms"]
+    assert one == flagless
+
+
+@pytest.mark.parametrize("argv", [("bridge", "exact"), ("bridge", "approx"),
+                                  ("bridge", "decide", "--c1", "1", "--c2", "2"),
+                                  ("twin", "solve"), ("forest", "connect")])
+def test_cli_arithmetic_overflow_is_an_input_error(tree_files, tmp_path, capsys, argv):
+    # |pq| from (4, 3) to a point 10**400 away on a diagonal overflows a float
+    p1, _, _, _ = tree_files
+    big = 10**400
+    p2 = write_tree(tmp_path, "huge.txt", WeightedTree([(big, big), (big, big + 1)], [(0, 1)]))
+    code, out, err = run_cli(capsys, *argv[:2], p1, p2, *argv[2:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

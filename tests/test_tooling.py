@@ -1,35 +1,61 @@
 """The repository's scripts keep running against the library: every site
 the benchmark's span tracer patches (`perfbench/run.py --trace 1`) and every
-console script in pyproject.toml names a library callable, every exported
-name resolves, importing the CLI loads no code its solver commands do not
-run, every demo script exits 0, and README's library example runs."""
+console script in pyproject.toml names a library callable, every command
+line the benchmark sends runs, every exported name resolves, importing the
+CLI loads no code its solver commands do not run, every demo script exits 0,
+and README's library example runs."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def tracing_sites():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+def perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up there
     spec.loader.exec_module(mod)
-    return mod.SITES
+    return mod
 
 
 def test_tracing_sites_name_library_callables():
-    sites = tracing_sites()
+    sites = perfbench_module("tracing").SITES
     assert sites
     for module, attr, span in sites:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr, span)
+
+
+def test_benchmark_command_lines_run(tmp_path, capsys):
+    # the benchmark sends these argv to the CLI as written (`bridge exact --threads 1`
+    # among them), so an option they use must not leave before they stop sending it
+    from bridgeworks.cli import main
+    from bridgeworks.geometry import WeightedTree
+    from bridgeworks.io import serialize_tree
+
+    schema = json.loads(resources.files("bridgeworks").joinpath("schemas/run_report.schema.json").read_text())
+    pair = []
+    for name, tree in (("t1.txt", WeightedTree([(0, 0), (4, 0), (4, 3)], [(0, 1), (1, 2)])),
+                       ("t2.txt", WeightedTree([(10.5, 0.0), (14.0, 1.0)], [(0, 1)]))):
+        (tmp_path / name).write_text(serialize_tree(tree))
+        pair.append(str(tmp_path / name))
+    workloads = perfbench_module("workloads")
+    for cmd in (*workloads.BRIDGE_COMMANDS, *workloads.TWIN_COMMANDS):
+        code = main([*cmd, *pair, "--json"])
+        out = capsys.readouterr()
+        assert code == 0, (cmd, out.err)
+        jsonschema.validate(json.loads(out.out), schema)
 
 
 def test_project_scripts_name_library_callables():
@@ -60,7 +86,7 @@ def test_verify_report_types_are_exported():
 
 
 def test_solver_commands_do_not_import_reductions_or_thread_pools():
-    # the reductions and concurrent.futures load only in the code that uses them
+    # the reductions load only in the commands that use them, and no thread pool loads
     env = {k: v for k, v in os.environ.items() if k != "BRIDGEWORKS_BACKEND"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     code = ("import sys, bridgeworks.cli; "
