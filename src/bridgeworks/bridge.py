@@ -143,6 +143,11 @@ def _float_bound(x: Number) -> float:
         return math.inf
 
 
+def _squared_distance(a: Point, b: Point) -> Number:
+    dx, dy = a.x - b.x, a.y - b.y
+    return dx * dx + dy * dy
+
+
 def _scan_exact(t1, t2, e1, e2):
     """Lex-min (ep + |pq| + eq, p, q) in the input's arithmetic, walking
     rows and columns by (eccentricity, index) and each row only while
@@ -357,21 +362,17 @@ def _closest_pair_exact(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[i
     order = sorted(range(len(pts2)), key=lambda j: pts2[j].x)
     xs = [pts2[j].x for j in order]
 
-    def key(i: int, j: int):
-        dx = pts1[i].x - pts2[j].x
-        dy = pts1[i].y - pts2[j].y
-        return (dx * dx + dy * dy, i, j)
-
     at = [bisect_left(xs, a.x) for a in pts1]
-    best = min(key(i, order[k]) for i, k0 in enumerate(at)
-               for k in (k0 - 1, k0) if 0 <= k < len(xs))
+    best = min((_squared_distance(pts1[i], pts2[j]), i, j) for i, k0 in enumerate(at)
+               for j in order[max(k0 - 1, 0):k0 + 1])
     for i, a in enumerate(pts1):
         for walk in (range(at[i], len(xs)), range(at[i] - 1, -1, -1)):
             for k in walk:
                 dx = xs[k] - a.x
                 if dx * dx > best[0]:
                     break
-                best = min(best, key(i, order[k]))
+                j = order[k]
+                best = min(best, (_squared_distance(a, pts2[j]), i, j))
     return best[1], best[2]
 
 
@@ -402,13 +403,16 @@ def one_bridge_decide(
     d1(x, p) + c1 + d2(q, y) = c2?  Returns the lex-min witness or None.
 
     Exact inputs (backend as in solve_exact, so forcing rational on inexact
-    trees raises ValueError; exact c1 and c2) use exact equality;
-    otherwise relative tolerance TOLERANCE. Only the endpoints of
+    trees raises ValueError; exact c1 and c2) use exact equality, matching
+    bridges by squared length |pq|^2 = c1^2 so that an irrational |pq| is
+    never c1; otherwise relative tolerance TOLERANCE. Only the endpoints of
     scanned candidates are swept, and each swept q gets one sorted index
     of T2's leaf distances, searched by a bisect window per leaf of T1.
     """
     exact = _resolve_mode(t1, t2) == "rational" and is_exact(c1) and is_exact(c2)
     num = (lambda v: v) if exact else float
+    if exact and c1 < 0:
+        return None
 
     # candidate bridge endpoints with |pq| = c1
     if exact and c1 == 0:
@@ -417,6 +421,11 @@ def one_bridge_decide(
         for q in range(t2.n):
             by_coord.setdefault(t2.points[q], []).append(q)
         cand = [(p, q) for p in range(t1.n) for q in by_coord.get(t1.points[p], ())]
+    elif exact:
+        # |pq|^2 = c1^2 exactly: an irrational |pq| is never c1
+        c1_sq = c1 * c1
+        cand = [(p, q) for p in range(t1.n) for q in range(t2.n)
+                if _squared_distance(t1.points[p], t2.points[q]) == c1_sq]
     else:
         cand = [
             (p, q)

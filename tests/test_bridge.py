@@ -495,6 +495,17 @@ def test_decision_finds_zero_length_bridge_and_path_sum():
     assert one_bridge_decide(t1, t2, Fraction(1), Fraction(7)) is None
 
 
+def test_exact_decision_matches_c1_by_squared_length():
+    # |pq|^2 = 1 + 10**-12: the float |pq| is within 1e-9 of 1, the bridge is not
+    t1 = WeightedTree([(0, 0), (-1, 0)], [(0, 1)])
+    off = WeightedTree([(1, Fraction(1, 10**6)), (2, Fraction(1, 10**6))], [(0, 1)])
+    assert one_bridge_decide(t1, off, 1, 3) is None
+    # a 3-4-5 bridge of length exactly 1, off both axes
+    on = WeightedTree([(Fraction(3, 5), Fraction(4, 5)), (Fraction(8, 5), Fraction(4, 5))], [(0, 1)])
+    assert one_bridge_decide(t1, on, 1, 3) == (0, 0, 1, 1)
+    assert one_bridge_decide(t1, on, -1, 3) is None
+
+
 def test_decision_tolerance_on_floats():
     t1 = WeightedTree([(0.0, 0.0), (3.0, 0.0)], [(0, 1)])
     t2 = WeightedTree([(3.0, 0.0), (3.0, 4.0)], [(0, 1)])

@@ -641,7 +641,7 @@ def test_cli_rejects_thread_counts_below_one(tree_files, capsys, threads):
 
 
 @pytest.mark.parametrize("argv", [("bridge", "exact"), ("bridge", "approx"),
-                                  ("bridge", "decide", "--c1", "1", "--c2", "2"),
+                                  ("bridge", "decide", "--c1", "1.5", "--c2", "2"),
                                   ("twin", "solve"), ("forest", "connect")])
 def test_cli_arithmetic_overflow_is_an_input_error(tree_files, tmp_path, capsys, argv):
     # |pq| from (4, 3) to a point 10**400 away on a diagonal overflows a float
@@ -651,6 +651,15 @@ def test_cli_arithmetic_overflow_is_an_input_error(tree_files, tmp_path, capsys,
     code, out, err = run_cli(capsys, *argv[:2], p1, p2, *argv[2:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_exact_decide_needs_no_float_distance(tree_files, tmp_path, capsys):
+    # an exact c1 is matched by squared length, so the 10**400 tree does not overflow
+    p1, _, _, _ = tree_files
+    big = 10**400
+    p2 = write_tree(tmp_path, "huge.txt", WeightedTree([(big, big), (big, big + 1)], [(0, 1)]))
+    code, out, err = run_cli(capsys, "bridge", "decide", p1, p2, "--c1", "1", "--c2", "2")
+    assert code == 1 and out.strip() == "no witness" and err == ""
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

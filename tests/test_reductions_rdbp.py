@@ -12,7 +12,11 @@ import math
 
 import pytest
 
+import bridgeworks.reductions.rdbp
 from bridgeworks import PlanarGraph, validate_planar
+from bridgeworks.cli import main
+from bridgeworks.io import serialize_graph
+from bridgeworks.numerics import definitely_less
 from bridgeworks.reductions import (
     RdbpIffReport,
     k4_embedding,
@@ -155,6 +159,112 @@ def test_subsets_correspond_to_covers_exhaustively(embedding):
     points, edges = embedding()
     c = len(vertex_cover_brute_force(len(points), edges))
     assert verify_rdbp_iff(points, edges) == RdbpIffReport(c, c, True)
+
+
+def cube_embedding():
+    """The cube graph: two nested squares joined by four spokes."""
+    points = [(0.0, 0.0), (12.0, 0.0), (12.0, 12.0), (0.0, 12.0),
+              (4.0, 4.0), (8.0, 4.0), (8.0, 8.0), (4.0, 8.0)]
+    edges = [(i, (i + 1) % 4) for i in range(4)]
+    edges += [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
+    edges += [(i, 4 + i) for i in range(4)]
+    return points, edges
+
+
+def twisted_prism_embedding(k):
+    """C_k x K2 on radii 10 and 6, the inner cycle turned by 0.8 pi / k so
+    that every vertex keeps two incident edges within the shortcut angle."""
+    outer = [(10 * math.cos(2 * math.pi * i / k), 10 * math.sin(2 * math.pi * i / k))
+             for i in range(k)]
+    turn = 0.8 * math.pi / k
+    inner = [(6 * math.cos(2 * math.pi * i / k + turn), 6 * math.sin(2 * math.pi * i / k + turn))
+             for i in range(k)]
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(i, k + i) for i in range(k)]
+    return outer + inner, edges
+
+
+def exhaustive_rdbp_iff(points, edges):
+    """The subset pass: over every vertex subset by increasing size, the
+    first cover, the first subset whose shortcuts decrease every pair, and
+    whether the two properties agree on all subsets."""
+    inst = vc_to_rdbp(points, edges, 0)
+    g, n = inst.graph, len(points)
+
+    def pair_distances(subset):
+        adj = graph_adj(g, extra=[inst.candidates[i] for i in subset])
+        return [dij(len(g.points), adj, s)[t] for s, t in inst.pairs]
+
+    base = pair_distances(())
+    cover_size = budget_size = None
+    agree = True
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            is_cover = all(a in combo or b in combo for a, b in edges)
+            decreases = all(map(definitely_less, pair_distances(combo), base))
+            if is_cover and cover_size is None:
+                cover_size = r
+            if decreases and budget_size is None:
+                budget_size = r
+            agree = agree and is_cover == decreases
+    return RdbpIffReport(cover_size, budget_size, agree)
+
+
+@pytest.mark.parametrize("embedding", [k4_embedding, prism_embedding, cube_embedding])
+def test_verify_equals_the_exhaustive_subset_pass(embedding):
+    points, edges = embedding()
+    assert verify_rdbp_iff(points, edges) == exhaustive_rdbp_iff(points, edges)
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_verify_holds_on_twisted_prisms_past_8_vertices(k):
+    points, edges = twisted_prism_embedding(k)
+    c = len(vertex_cover_brute_force(len(points), edges))
+    assert verify_rdbp_iff(points, edges) == RdbpIffReport(c, c, True)
+
+
+def test_verify_refuses_past_the_cover_guard_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("vc_to_rdbp ran")
+
+    monkeypatch.setattr(bridgeworks.reductions.rdbp, "vc_to_rdbp", unreachable)
+    with pytest.raises(ValueError, match="guarded to 20 vertices"):
+        verify_rdbp_iff(*twisted_prism_embedding(11))
+
+
+def test_a_failing_pair_reads_the_budget_from_the_subset_search(monkeypatch):
+    # all other shortcuts together decrease pair 0 as well: the per-pair
+    # statement fails while the budget is still the cover number
+    real = bridgeworks.reductions.rdbp._pair_distances
+
+    def others_decrease_pair_0(inst, extra, pairs):
+        if pairs == inst.pairs[:1] and len(extra) == len(points) - 2:
+            return [-1.0]
+        return real(inst, extra, pairs)
+
+    points, edges = k4_embedding()
+    monkeypatch.setattr(bridgeworks.reductions.rdbp, "_pair_distances", others_decrease_pair_0)
+    rep = verify_rdbp_iff(points, edges)
+    assert rep == RdbpIffReport(3, 3, False) and not rep.consistent
+
+
+def test_a_failing_pair_past_8_vertices_is_named_without_a_subset_search(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("rdbp_minimum_budget ran")
+
+    rdbp = bridgeworks.reductions.rdbp
+    monkeypatch.setattr(rdbp, "_pair_distances", lambda inst, extra, pairs: [1.0] * len(pairs))
+    monkeypatch.setattr(rdbp, "rdbp_minimum_budget", unreachable)
+    with pytest.raises(ValueError, match=r"pair 0 of edge \(0, 1\) fails .* guarded to 8 vertices"):
+        verify_rdbp_iff(*twisted_prism_embedding(5))
+
+
+def test_cli_verifies_a_twisted_prism(tmp_path, capsys):
+    graph = tmp_path / "c5.txt"
+    graph.write_text(serialize_graph(*twisted_prism_embedding(5)))
+    assert main(["verify", "iff-rdbp", "--graph", str(graph)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "consistent"
 
 
 def test_non_cover_subset_leaves_a_pair_unimproved():
