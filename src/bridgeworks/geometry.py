@@ -118,7 +118,12 @@ class WeightedTree:
                 if not (w >= 0):  # NaN fails too
                     raise ValueError(f"edge ({u},{v}) weight {w} is negative or NaN")
             else:
-                geo = euclidean_distance(pts[u], pts[v])
+                try:
+                    geo = euclidean_distance(pts[u], pts[v])
+                except OverflowError:  # an exact length past the float range
+                    raise ValueError(
+                        f"edge ({u},{v}) embedded length is too large for a float"
+                    ) from None
                 if geo == math.inf:   # hypot of finite coordinates overflowed
                     raise ValueError(f"edge ({u},{v}) embedded length {geo} is not finite")
                 if w is None:
@@ -392,14 +397,26 @@ def validate_planar(graph: PlanarGraph) -> list[tuple[int, int]]:
 
     Non-adjacent edge pairs may not intersect at all. Edge pairs sharing an
     endpoint may touch only at that endpoint (collinear overlap is flagged).
+    A pair whose bounding boxes are disjoint is skipped before any
+    orientation test: every conflict point, a crossing or a touching
+    endpoint, lies in both boxes. The box test only compares coordinates,
+    so exact input stays exact.
     """
     pts = graph.points
     es = graph.edges
+    boxes = []
+    for a, b in es:
+        pa, pb = pts[a], pts[b]
+        boxes.append((min(pa.x, pb.x), max(pa.x, pb.x), min(pa.y, pb.y), max(pa.y, pb.y)))
     bad = []
     for i in range(len(es)):
         a, b = es[i]
         pa, pb = pts[a], pts[b]
+        lo_x, hi_x, lo_y, hi_y = boxes[i]
         for j in range(i + 1, len(es)):
+            lo_x2, hi_x2, lo_y2, hi_y2 = boxes[j]
+            if lo_x2 > hi_x or hi_x2 < lo_x or lo_y2 > hi_y or hi_y2 < lo_y:
+                continue
             c, d = es[j]
             if a in (c, d) or b in (c, d):
                 # shared endpoint: only collinear overlap can go wrong

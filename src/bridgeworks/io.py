@@ -10,11 +10,13 @@ from the token's shape: a token with '/' is an exact rational, one with '.',
 non-finite values are rejected. Geometric trees serialize without the
 weight column; explicit trees keep it.
 
-Tree and graph text is read a whole column at a time: one split of the
-rows, bulk checks of their shapes, ids and endpoints, and one conversion
-per coordinate or weight column. The row loop that checks one row at a
-time only locates errors: it runs when the columnar pass declines a text,
-and it alone writes the error message with its line and column.
+Tree and graph text is read from one flat token list: each content line
+is split once and its token count checked (header 2, vertex rows 3, edge
+rows all 2 or all 3), then every id, coordinate, endpoint and weight
+column is a strided slice of that list, converted in one pass. The row
+loop that checks one row at a time only locates errors: it runs when the
+flat pass declines a text, and it alone writes the error message with its
+line and column.
 
 SAT instances use the DIMACS-like form 'p cnf <vars> <clauses>' with three
 literals and a terminating 0 per clause line; 'c' lines are comments.
@@ -180,48 +182,58 @@ def _parse_column(tokens: Sequence[str]) -> list[Number]:
 
 
 def _parse_columns(text: str, *, weights_allowed: bool):
-    """_parse_rows' result from whole columns at a time, or None where the
-    text breaks a rule; a token no conversion takes raises ValueError."""
+    """_parse_rows' result from one flat token list, or None where the text
+    breaks a rule; a token no conversion takes raises ValueError.
+
+    Each content line is split once; its token count goes to a width list
+    and its tokens onto the flat list, so no row list outlives its line.
+    The widths are checked line by line (header 2, vertex rows 3, edge rows
+    all 2 or all 3), and then every column is a strided slice of the flat
+    list."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    rows = list(filter(None, map(str.split, lines)))
-    if not rows or len(rows[0]) != 2:
+    tokens: list[str] = []
+    widths: list[int] = []
+    for row in map(str.split, lines):
+        if row:
+            widths.append(len(row))
+            tokens += row
+    if not widths or widths[0] != 2:
         return None
-    n, m = map(int, rows[0])
-    if n < 1 or m < 0 or len(rows) != 1 + n + m:
+    n, m = int(tokens[0]), int(tokens[1])
+    if n < 1 or m < 0 or len(widths) != 1 + n + m or widths[1 : 1 + n].count(3) != n:
         return None
-    vertex_rows, edge_rows = rows[1 : 1 + n], rows[1 + n :]
-    if set(map(len, vertex_rows)) != {3}:
-        return None
-    ids, xs, ys = zip(*vertex_rows)
-    ids = list(map(int, ids))
+    end = 2 + 3 * n
+    ids = list(map(int, tokens[2:end:3]))
+    xs, ys = tokens[3:end:3], tokens[4:end:3]
     order = list(range(n))
     if ids != order:
         if sorted(ids) != order:
             return None
-        _, xs, ys = zip(*sorted(zip(ids, xs, ys)))
+        by_id = sorted(order, key=ids.__getitem__)
+        xs, ys = list(map(xs.__getitem__, by_id)), list(map(ys.__getitem__, by_id))
     # tuple.__new__ builds each Point in C, where Point(x, y) runs Python code
     points = list(map(tuple.__new__, repeat(Point), zip(_parse_column(xs), _parse_column(ys))))
-    if not edge_rows:
+    if not m:
         return points, [], False
-    widths = set(map(len, edge_rows))
-    if widths != {2} and not (weights_allowed and widths == {3}):
+    width = widths[-1]
+    if widths[1 + n :].count(width) != m or not (width == 2 or (weights_allowed and width == 3)):
         return None
-    us, vs, *weights = zip(*edge_rows)
-    us = list(map(int, us))
-    vs = list(map(int, vs))
+    us = list(map(int, tokens[end::width]))
+    vs = list(map(int, tokens[end + 1 :: width]))
     if min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
         return None
-    if weights:
-        return points, list(zip(us, vs, _parse_column(weights[0]))), True
+    if width == 3:
+        return points, list(zip(us, vs, _parse_column(tokens[end + 2 :: 3]))), True
     return points, list(zip(us, vs)), False
 
 
 def _parse_points_edges(text: str, *, weights_allowed: bool):
-    """(points, edges, explicit weights) of tree or graph text. Any text the
-    columnar pass declines goes to the row loop, which raises its error or,
-    were the text valid, returns the same result."""
+    """(points, edges, explicit weights) of tree or graph text, from the
+    flat token pass. Any text that pass declines goes to the row loop, which
+    raises its error at the line it finds or, were the text valid, returns
+    the same result."""
     try:
         parsed = _parse_columns(text, weights_allowed=weights_allowed)
     except ValueError:

@@ -27,7 +27,9 @@ from bridgeworks import (
     validate_planar,
 )
 from bridgeworks.geometry import (
+    _on_segment,
     first_argmax,
+    orientation,
     single_source_tree_distances,
     tree_eccentricities,
     walk_parents,
@@ -250,6 +252,8 @@ def test_tree_validation_rejects_bad_structure():
          "vertex 1 has a non-finite coordinate in (0.5, inf)"),
         # finite coordinates whose embedded length overflows
         ([(1e308, 0.0), (-1e308, 0.0)], [(0, 1)], False, "edge (0,1) embedded length inf is not finite"),
+        # an exact length whose float conversion overflows
+        ([(0, 0), (10**400, 1)], [(0, 1)], False, "edge (0,1) embedded length is too large for a float"),
     ],
 )
 def test_tree_rejects_non_finite_values_and_negative_weights(points, edges, explicit, message):
@@ -344,6 +348,48 @@ def test_validate_planar_reports_proper_crossings_only():
     assert len(crossings) == 1
     (e1, e2), = crossings
     assert {e1, e2} == {4, 5}   # the two diagonals, by edge index
+
+
+def _conflicts_of_every_pair(graph):
+    """validate_planar without its bounding-box filter: every edge pair
+    goes through the orientation tests."""
+    pts, es = graph.points, graph.edges
+    bad = []
+    for i in range(len(es)):
+        a, b = es[i]
+        for j in range(i + 1, len(es)):
+            c, d = es[j]
+            if a in (c, d) or b in (c, d):
+                shared = a if a in (c, d) else b
+                oa = a if shared != a else b
+                oc = c if shared != c else d
+                if orientation(pts[shared], pts[oa], pts[oc]) == 0 and (
+                    _on_segment(pts[shared], pts[oa], pts[oc])
+                    or _on_segment(pts[shared], pts[oc], pts[oa])
+                ):
+                    bad.append((i, j))
+                continue
+            if segments_intersect(pts[a], pts[b], pts[c], pts[d]):
+                bad.append((i, j))
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_validate_planar_box_filter_keeps_every_conflict(kind):
+    # points on a small lattice, so collinear overlaps, touching endpoints
+    # and shared endpoints all occur; the float lattice is not exact
+    scale = {"int": 1, "fraction": Fraction(1, 3), "float": 0.1}[kind]
+    rng = random.Random(kind)
+    total = 0
+    for _ in range(80):
+        lattice = rng.sample([(x, y) for x in range(7) for y in range(7)], 12)
+        pts = [(x * scale, y * scale) for x, y in lattice]
+        pairs = rng.sample([(u, v) for u in range(12) for v in range(u + 1, 12)], rng.randint(2, 20))
+        g = PlanarGraph(points=pts, edges=pairs)
+        want = _conflicts_of_every_pair(g)
+        assert validate_planar(g) == want
+        total += len(want)
+    assert total > 100   # the corpus is not conflict-free
 
 
 # ---------------------------------------------------------------- closest pair

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -198,6 +199,8 @@ TREE_PARSE_ERRORS = [
     ("2 1\n0 0.5 0.5\n1 inf 1.5\n0 1\n", 3, "non-finite literal 'inf' (line 3, column 3)"),
     ("2 1\n0 0.5 0.5\n1 1.5 1.5\n0 1 1.5e999\n", 4, "non-finite literal '1.5e999' (line 4, column 5)"),
     ("2 1\n0 0 0\n1 1 1\n0 1 -0.5\n", None, "edge (0,1) weight -0.5 is negative or NaN"),
+    ("2 1\n0 0 0\n1 1 1" + "0" * 400 + "\n0 1\n", None,
+     "edge (0,1) embedded length is too large for a float"),
 ]
 
 
@@ -225,6 +228,21 @@ def test_tree_parse_errors_point_at_the_bad_number(text, line, column):
         parse_tree(text)
     assert (ei.value.line, ei.value.column) == (line, column)
     assert f"(line {line}, column {column})" in str(ei.value)
+
+
+def _float_weight_tree(n, seed):
+    rng = random.Random(seed)
+    points = gen_random_tree(n, seed).points
+    edges = [(rng.randrange(i), i, rng.uniform(0.0, 10.0)) for i in range(1, n)]
+    return WeightedTree(points, edges, explicit_weights=True)
+
+
+def _shuffled_vertex_rows(text, seed):
+    lines = text.splitlines(keepends=True)
+    n = int(lines[0].split()[0])
+    rows = lines[1 : 1 + n]
+    random.Random(seed).shuffle(rows)
+    return "".join([lines[0], *rows, *lines[1 + n :]])
 
 
 def _typed(parsed):
@@ -257,6 +275,15 @@ def _typed(parsed):
         "3 2\n0 1/2 0\n1 7/3 0\n2 -5/4 0\n0 1 2/3\n1 2 5/6\n",  # Fraction columns
         "3 2\n0 -0.0 0.5\n1 1/2 2\n2 3.0 7\n0 1 -0.0\n1 2 2.5\n",  # -0.0 and mixed columns
         "1 0\n0 1.5 -0.0\n",
+        "# tree\n3 2  # n m\n0 0.5 1.5 # first\n# middle\n1 2.5 3.5\n2 4.5 5.5\n0 1 #\n1 2\n# end",
+        serialize_tree(gen_random_tree(40, 21)).replace("\n", "\r\n"),
+        serialize_tree(gen_random_tree(40, 22, grid=True, bbox=(0, 0, 30, 30))).replace("\n", "\r"),
+        "3 2\r\n# c\r\n0 0 0 # x\r\n1 3 4\r\n2 1/2 2\r\n0 1\r\n1 2 # y",  # CRLF and comments
+        "3 2\n0\t0.5\t 1.5\n1    2.5\t\t3.5\n 2 4.5   5.5  \n0\t1\n1  2\n",  # tabs, space runs
+        "\n\n3 2\n\n0 1 2\n\n\n1 3 4\n2 5 6\n\n0 1\n\n1 2\n\n",  # blank lines
+        _shuffled_vertex_rows(serialize_tree(_float_weight_tree(30, 24)), 25),
+        _shuffled_vertex_rows(serialize_tree(gen_random_tree(50, 26)), 27),
+        serialize_graph([(0, 0), (4, 0), (4, 4), (0, 4)], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
     ],
 )
 def test_columnar_parse_equals_the_row_loop(text):
@@ -264,6 +291,33 @@ def test_columnar_parse_equals_the_row_loop(text):
     assert columns is not None
     assert _typed(columns) == _typed(_parse_rows(text, weights_allowed=True))
     assert all(type(p) is Point for p in columns[0])  # WeightedTree keeps them as they are
+    if not columns[2]:  # bare edge rows: parse_graph's pass gives the same
+        graph = _parse_columns(text, weights_allowed=False)
+        assert _typed(graph) == _typed(_parse_rows(text, weights_allowed=False)) == _typed(columns)
+
+
+# (text, weights allowed, line, column, the whole message): texts the flat
+# pass declines, each left to the row loop's error
+DECLINED_TEXTS = [
+    # a 4-token vertex row balanced by a 2-token one: the token count fits
+    ("3 2\n0 0 0 9\n1 1\n2 2 0\n0 1\n1 2\n", True, 2, 1, "vertex row must be 'id x y' (line 2, column 1)"),
+    ("3 2\n0 0 0\n1 1\n2 2 0 9\n0 1\n1 2\n", True, 3, 1, "vertex row must be 'id x y' (line 3, column 1)"),
+    # edge rows of 4 and 1 tokens, and of 3 and 2
+    ("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1 2 3\n1\n", True, 5, 1,
+     "edge row must be 'u v' or 'u v weight' (line 5, column 1)"),
+    ("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1 1\n1 2\n", True, 6, None, "mixed weighted and unweighted edge rows (line 6)"),
+    ("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1\n1 2 1\n", True, 6, None, "mixed weighted and unweighted edge rows (line 6)"),
+    # a weighted edge row in graph text
+    ("2 1\n0 0 0\n1 1 1\n0 1 5\n", False, 4, 1, "edge row must be 'u v' or 'u v weight' (line 4, column 1)"),
+]
+
+
+@pytest.mark.parametrize("text,weights_allowed,line,column,message", DECLINED_TEXTS)
+def test_flat_parse_declines_bad_row_shapes(text, weights_allowed, line, column, message):
+    assert _parse_columns(text, weights_allowed=weights_allowed) is None
+    with pytest.raises(ParseError) as ei:
+        (parse_tree if weights_allowed else parse_graph)(text)
+    assert (ei.value.line, ei.value.column, str(ei.value)) == (line, column, message)
 
 
 # -------------------------------------------------------------- graphs, sat
