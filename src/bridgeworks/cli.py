@@ -17,8 +17,9 @@ library does. Scaling measurements live in the perfbench/ harness.
 
 Exit codes: 0 solved / verified true, 1 decision false or verification
 disagreement, 2 input or usage error (an arithmetic overflow on the input
-included). --json prints a run report whose bytes are reproducible except
-for duration_ms.
+included; an error reading or parsing an input file starts with its path).
+--json prints a run report whose bytes are reproducible except for
+duration_ms.
 """
 
 from __future__ import annotations
@@ -61,13 +62,19 @@ if TYPE_CHECKING:
     from .reductions import OneInThreeSatInstance
 
 
-def _read(path: str) -> tuple[str, str]:
-    """The file's text, decoded as UTF-8, and the sha256 of its bytes, from
-    one read. Line ends stay as written: the parsers split lines with
-    str.splitlines, which takes CRLF and a lone CR as line ends."""
+def _parse_file(path: str, parse):
+    """parse() of the file's text, decoded as UTF-8, and the sha256 of its
+    bytes, from one read. Line ends stay as written: the parsers split lines
+    with str.splitlines, which takes CRLF and a lone CR as line ends. A
+    ValueError from decoding or parsing (a ParseError included) is raised
+    again with the path in front, so a run over several files names the bad
+    one."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    try:
+        return parse(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write(path: str, text: str):
@@ -88,22 +95,19 @@ def _json_text(data) -> str:
 
 
 def _load_tree(run: _Run, path: str) -> WeightedTree:
-    text, digest = _read(path)
-    tree = parse_tree(text)
+    tree, digest = _parse_file(path, parse_tree)
     run.add_instance(path, "tree", digest, vertices=tree.n, edges=len(tree.edges))
     return tree
 
 
 def _load_sat(run: _Run, path: str) -> OneInThreeSatInstance:
-    text, digest = _read(path)
-    sat = parse_sat(text)
+    sat, digest = _parse_file(path, parse_sat)
     run.add_instance(path, "sat", digest, variables=sat.n_vars, clauses=sat.m)
     return sat
 
 
 def _load_graph(run: _Run, path: str):
-    text, digest = _read(path)
-    points, edges = parse_graph(text)
+    (points, edges), digest = _parse_file(path, parse_graph)
     run.add_instance(path, "graph", digest, vertices=len(points), edges=len(edges))
     return points, edges
 

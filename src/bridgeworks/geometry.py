@@ -79,6 +79,11 @@ class WeightedTree:
     Edge weights default to Euclidean lengths of the embedded segments.
     With explicit_weights=True the given weights stand on their own (they
     may disagree with the embedding); they must be nonnegative.
+
+    The constructor roots the tree at vertex 0 and keeps, in three private
+    lists of n entries (O(n) memory, outside ==, hash and repr), a
+    parent-first visit order, each vertex's parent and the weight of the
+    edge to it, for single_source_tree_distances.
     """
 
     points: tuple[Point, ...]
@@ -148,9 +153,25 @@ class WeightedTree:
         object.__setattr__(self, "edges", tuple(norm_edges))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "explicit_weights", explicit_weights)
-        # n-1 edges + connected == tree
-        if None in walk_parents(self.adjacency, 0):
+        # one walk from vertex 0 checks the tree (n-1 edges + connected) and
+        # roots it there: the list grows while the loop reads it, so each
+        # vertex comes after its parent
+        parent = [None] * n
+        parent_weight = [0] * n
+        parent[0] = 0
+        order = [0]
+        adj = self.adjacency
+        for u in order:
+            for v, w in adj[u]:
+                if parent[v] is None:
+                    parent[v] = u
+                    parent_weight[v] = w
+                    order.append(v)
+        if len(order) < n:
             raise ValueError("edges do not form a connected tree")
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_parent_weight", parent_weight)
 
     @property
     def n(self) -> int:
@@ -166,21 +187,27 @@ class WeightedTree:
 
 
 def single_source_tree_distances(tree: WeightedTree, src: int) -> list[Number]:
-    """Distances from src to every vertex (tree paths are unique)."""
-    n = tree.n
-    dist: list[Number] = [0] * n
-    seen = [False] * n
-    seen[src] = True
-    stack = [src]
-    adj = tree.adjacency
-    while stack:
-        u = stack.pop()
-        du = dist[u]
-        for v, w in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                dist[v] = du + w
-                stack.append(v)
+    """Distances from src to every vertex (tree paths are unique), in O(n).
+
+    The climb from src to the root sets each ancestor from the child below
+    it; one pass over the parent-first order then sets every other vertex
+    from its parent. Either way d(v) = d(u) + w(u, v) for the vertex u
+    before v on the src..v path, so each distance is the left-to-right sum
+    of the path's weights from an int 0: the same value, type and float
+    bits as a walk outward from src.
+    """
+    parent = tree._parent
+    parent_weight = tree._parent_weight
+    dist: list = [None] * tree.n
+    dist[src] = 0
+    v = src
+    while v:   # vertex 0 is the root
+        u = parent[v]
+        dist[u] = dist[v] + parent_weight[v]
+        v = u
+    for v in tree._order:
+        if dist[v] is None:
+            dist[v] = dist[parent[v]] + parent_weight[v]
     return dist
 
 

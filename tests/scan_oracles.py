@@ -1,5 +1,6 @@
 """Full-scan oracles for the single-bridge scans: every endpoint pair is
-scored, in the same arithmetic as the library, with no pruning.
+scored, in the same arithmetic as the library, with no pruning. Tree
+distances come from a plain walk outward from the source.
 
 Import as a sibling module (`from scan_oracles import ...`): pytest puts
 this directory on sys.path for the test modules.
@@ -10,6 +11,29 @@ from __future__ import annotations
 import numpy as np
 
 from bridgeworks.geometry import euclidean_distance
+
+
+def tree_distances_dfs(tree, src):
+    """Distances from src to every vertex, by a stack walk outward from src
+    over the tree's own edge list: each vertex gets its predecessor's
+    distance plus the edge weight, so every entry is the left-to-right sum
+    of its path's weights from an int 0."""
+    adj = [[] for _ in range(tree.n)]
+    for u, v, w in tree.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    dist = [0] * tree.n
+    seen = [False] * tree.n
+    seen[src] = True
+    stack = [src]
+    while stack:
+        u = stack.pop()
+        for v, w in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                dist[v] = dist[u] + w
+                stack.append(v)
+    return dist
 
 
 def scan_exact(t1, t2, e1, e2):

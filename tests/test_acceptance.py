@@ -33,7 +33,6 @@ from bridgeworks import (
     solve_twin,
     validate_planar,
 )
-from bridgeworks.geometry import single_source_tree_distances
 from bridgeworks.io import serialize_tree
 from bridgeworks.reductions import (
     cov_to_one_bridge,
@@ -52,6 +51,7 @@ from bridgeworks.reductions import (
     verify_threesum_iff,
     vertex_cover_brute_force,
 )
+from scan_oracles import tree_distances_dfs
 
 
 # --------------------------------------------------------------- corpora
@@ -76,8 +76,8 @@ def bridge_corpus_500():
 
 
 def oracle_best_bridge_value(t1, t2):
-    ecc1 = [max(single_source_tree_distances(t1, p)) for p in range(t1.n)]
-    ecc2 = [max(single_source_tree_distances(t2, q)) for q in range(t2.n)]
+    ecc1 = [max(tree_distances_dfs(t1, p)) for p in range(t1.n)]
+    ecc2 = [max(tree_distances_dfs(t2, q)) for q in range(t2.n)]
     return min(
         ecc1[p] + euclidean_distance(t1.points[p], t2.points[q]) + ecc2[q]
         for p in range(t1.n)
@@ -333,7 +333,7 @@ def oracle_forest_optimum(trees):
     D, FAR = [], []
     for t in trees:
         d = np.array(
-            [[float(x) for x in single_source_tree_distances(t, s)] for s in range(t.n)]
+            [[float(x) for x in tree_distances_dfs(t, s)] for s in range(t.n)]
         )
         d = np.maximum(d, d.T)
         D.append(d)

@@ -38,15 +38,15 @@ from bridgeworks.twin import (
     solve_cases_34,
     solve_twin,
 )
-from scan_oracles import closest_pair_scan, scan_double, scan_exact
+from scan_oracles import closest_pair_scan, scan_double, scan_exact, tree_distances_dfs
 
 
 # ---------------------------------------------------------------- oracle
 
 def oracle_best_bridge(t1, t2):
     """Lex-min (value, p, q) over every bridge, scored independently."""
-    ecc1 = [max(single_source_tree_distances(t1, p)) for p in range(t1.n)]
-    ecc2 = [max(single_source_tree_distances(t2, q)) for q in range(t2.n)]
+    ecc1 = [max(tree_distances_dfs(t1, p)) for p in range(t1.n)]
+    ecc2 = [max(tree_distances_dfs(t2, q)) for q in range(t2.n)]
     best = None
     for p in range(t1.n):
         for q in range(t2.n):
@@ -199,8 +199,8 @@ def tie_rich_float_pair(seed, weights):
 
 def tied_rows(t1, t2, value):
     """The rows p of every bridge scoring `value` in the oracle's scoring."""
-    ecc1 = [max(single_source_tree_distances(t1, p)) for p in range(t1.n)]
-    ecc2 = [max(single_source_tree_distances(t2, q)) for q in range(t2.n)]
+    ecc1 = [max(tree_distances_dfs(t1, p)) for p in range(t1.n)]
+    ecc2 = [max(tree_distances_dfs(t2, q)) for q in range(t2.n)]
     return {
         p for p in range(t1.n) for q in range(t2.n)
         if ecc1[p] + euclidean_distance(t1.points[p], t2.points[q]) + ecc2[q] == value

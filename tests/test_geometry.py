@@ -35,7 +35,7 @@ from bridgeworks.geometry import (
     walk_parents,
 )
 from bridgeworks.bridge import bichromatic_closest_pair
-from scan_oracles import closest_pair_scan
+from scan_oracles import closest_pair_scan, tree_distances_dfs
 
 
 # ---------------------------------------------------------------- oracle
@@ -96,6 +96,60 @@ def test_tree_distances_match_dijkstra_oracle():
             assert got == pytest.approx(want, rel=1e-12)
             srow = [float(d) for d in single_source_tree_distances(tree, src)]
             assert srow == pytest.approx(want, rel=1e-12)
+
+
+def shuffled_edges(rng, tree):
+    """The same tree from its edge list in a random order, each edge in a
+    random orientation."""
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in tree.edges]
+    rng.shuffle(edges)
+    return WeightedTree(tree.points, edges, explicit_weights=tree.explicit_weights)
+
+
+def sweep_trees():
+    rng = random.Random(29)
+    trees = [WeightedTree([(Fraction(1, 3), 0)], [])]
+    for n in (2, 3, 9, 40):
+        trees += [
+            gen_random_tree(n, rng.randrange(10**6)),                          # float
+            gen_random_tree(n, rng.randrange(10**6), grid=True),               # int and float
+            gen_random_tree(n, rng.randrange(10**6), bbox=(0, 0, 99, 0), grid=True),  # int
+            WeightedTree([(Fraction(x, 7), 0) for x in rng.sample(range(10 * n), n)],
+                         [(rng.randrange(i), i) for i in range(1, n)]),        # Fraction
+            random_tree(rng, n, "explicit"),
+            mixed_weight_tree(rng, n),
+            WeightedTree([(x, 0) for x in range(n)],
+                         [(rng.randrange(i), i, rng.uniform(0, 3)) for i in range(1, n)],
+                         explicit_weights=True),
+        ]
+    trees += [shuffled_edges(rng, t) for t in trees]
+    # a star on a center other than vertex 0
+    trees.append(WeightedTree([(0, 0)] + [(math.cos(k), math.sin(k)) for k in range(1, 12)],
+                              [(5, k) for k in range(12) if k != 5]))
+    return trees
+
+
+def test_tree_distances_equal_the_walk_from_the_source():
+    # same value, type (5 vs Fraction(5)) and float bits as the walk
+    for tree in sweep_trees():
+        for src in range(tree.n):
+            got = single_source_tree_distances(tree, src)
+            want = tree_distances_dfs(tree, src)
+            assert [(type(d), repr(d)) for d in got] == [(type(d), repr(d)) for d in want]
+
+
+def test_tree_distances_on_a_long_path():
+    # vertex 0 at one end: a sweep from the other end climbs 1,999 parents
+    rng = random.Random(3)
+    xs = [0.0]
+    for _ in range(1999):
+        xs.append(xs[-1] + rng.uniform(0.1, 2.0))
+    edges = [(i, i + 1) for i in range(1999)]
+    rng.shuffle(edges)
+    tree = WeightedTree([(x, 0.0) for x in xs], edges)
+    for src in (0, 1999, 1000):
+        got = single_source_tree_distances(tree, src)
+        assert list(map(repr, got)) == list(map(repr, tree_distances_dfs(tree, src)))
 
 
 def test_path_distance_equals_sum_of_edge_weights():

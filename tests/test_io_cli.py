@@ -470,13 +470,13 @@ def test_cli_gen_round_trips(tmp_path, capsys):
                           "--out-dir", str(out2), "--json")
     assert code == 0
     for p in rep["result"]["written"]:
-        parse_tree(open(p).read())
+        parse_tree(Path(p).read_text())
     out3 = tmp_path / "fig3"
     code, rep = report_of(capsys, "gen", "fig3", "--eps", "1/100",
                           "--out-dir", str(out3), "--json")
     assert code == 0
     for p in rep["result"]["written"]:
-        parse_tree(open(p).read())
+        parse_tree(Path(p).read_text())
     assert rep["result"]["vertices"] == [4, 4]
     # the written bytes are the library instances, serialized
     for out, (t1, t2) in ((out2, greedy_tightness_instance(n=5, eps=Fraction(1, 100))),
@@ -632,6 +632,34 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     bad.write_text("3 2\n0 0 0\n1 1 0\n2 2 0\n0 1\n1 0\n")
     assert main(["bridge", "exact", str(bad), str(good)]) == 2
     assert "edges do not form a connected tree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,start", [
+    (b"2 1\n0 0 0\n1 x 0\n0 1\n", "bad numeric literal 'x' (line 3, column 3)"),
+    (b"2 1\n0 0 0\n1 1 0 # caf\xe9\n0 1\n", "'utf-8' codec can't decode byte 0xe9"),
+])
+def test_cli_input_errors_name_the_file(tmp_path, capsys, text, start):
+    with pytest.raises(ValueError) as exc:
+        parse_tree(text.decode("utf-8"))
+    message = str(exc.value)
+    assert message.startswith(start)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text)
+    good = [write_tree(tmp_path, f"g{i}.txt", WeightedTree([(10 * i, 0), (10 * i + 1, 0)], [(0, 1)]))
+            for i in range(3)]
+    for k in range(3):
+        files = good[:k] + [str(bad)] + good[k + 1:]
+        for argv in (("forest", "connect", *files), ("bridge", "exact", *files[:2])):
+            if str(bad) in argv:
+                assert run_cli(capsys, *argv) == (2, "", f"error: {bad}: {message}\n")
+    sat = tmp_path / "bad.cnf"
+    sat.write_text("p cnf 3 1\n1 2 x 0\n")
+    code, out, err = run_cli(capsys, "verify", "iff-onebridge", "--sat", str(sat))
+    assert code == 2 and out == "" and err.startswith(f"error: {sat}: ")
+    graph = tmp_path / "bad-graph.txt"
+    graph.write_bytes(text)
+    code, out, err = run_cli(capsys, "verify", "iff-rdbp", "--graph", str(graph))
+    assert code == 2 and out == "" and err.startswith(f"error: {graph}: ")
 
 
 def test_cli_reads_each_input_once(tree_files, tmp_path, capsys, monkeypatch):
