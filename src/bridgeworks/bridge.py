@@ -28,7 +28,7 @@ from .geometry import (
     single_source_tree_distances,
     tree_eccentricities,
 )
-from .numerics import Number, TOLERANCE, backend_override, is_exact, values_equal
+from .numerics import Number, TOLERANCE, backend_of, is_exact, reported, resolve_backend, values_equal
 
 
 @dataclass(frozen=True)
@@ -41,37 +41,6 @@ class BridgeSolution:
     witness: tuple[int, int]      # farthest vertices (x in T1, y in T2)
     method: str                   # "exact" | "greedy"
     backend: str                  # "rational" | "double"
-
-
-def _tree_is_exact(t: WeightedTree) -> bool:
-    return all(is_exact(p.x) and is_exact(p.y) for p in t.points) and all(
-        is_exact(w) for _, _, w in t.edges
-    )
-
-
-def _resolve_mode(*trees: WeightedTree) -> str:
-    ov = backend_override()
-    if ov == "double":
-        return "double"
-    exact_in = all(_tree_is_exact(t) for t in trees)
-    if ov == "rational":
-        if not exact_in:
-            raise ValueError(
-                "BRIDGEWORKS_BACKEND=rational requires exact coordinates/weights"
-            )
-        return "rational"
-    return "rational" if exact_in else "double"
-
-
-def _backend_of(value: Number) -> str:
-    return "rational" if is_exact(value) else "double"
-
-
-def _reported(x: Number) -> Number:
-    """x as a solver reports it: a float under BRIDGEWORKS_BACKEND=double,
-    which may otherwise leave exact values (a dominating tree diameter,
-    exact eccentricities) in the report."""
-    return float(x) if backend_override() == "double" else x
 
 
 def _eccentricity(t: WeightedTree, v: int) -> tuple[Number, int]:
@@ -103,7 +72,7 @@ def solve_exact(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
       2000-vertex trees side by side or 10**5 apart. Ties at the minimum
       everywhere still make it O(n1 * n2).
     The sweeps and sorts add O(n1 + n2) and O(n log n)."""
-    mode = _resolve_mode(t1, t2)
+    mode = resolve_backend(t1, t2)
     ecc1 = tree_eccentricities(t1)
     ecc2 = tree_eccentricities(t2)
 
@@ -121,7 +90,7 @@ def solve_exact(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
         # the scan's minimum, summed from eccentricities of the report's type
         val = ecc_p + blen + ecc_q
 
-    merged = _reported(max(ecc1.diameter, ecc2.diameter, val))
+    merged = reported(max(ecc1.diameter, ecc2.diameter, val))
     return BridgeSolution(
         p=p,
         q=q,
@@ -130,7 +99,7 @@ def solve_exact(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
         merged_diameter=merged,
         witness=(x, y),
         method="exact",
-        backend=_backend_of(val),
+        backend=backend_of(val),
     )
 
 
@@ -297,7 +266,7 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     which scores only the pairs its bound cannot rule out:
     output-sensitive, and O(n1 * n2) in the worst case.
     """
-    _resolve_mode(t1, t2)  # raises when rational is forced on inexact trees
+    resolve_backend(t1, t2)  # raises when rational is forced on inexact trees
     p, q, blen = bichromatic_closest_pair(t1.points, t2.points)
     ecc1, x = _eccentricity(t1, p)
     ecc2, y = _eccentricity(t2, q)
@@ -305,8 +274,8 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
     # merged diameter needs the component diameters too
     diam1 = tree_eccentricities(t1).diameter
     diam2 = tree_eccentricities(t2).diameter
-    merged = _reported(max(diam1, diam2, val))
-    blen, val = _reported(blen), _reported(val)
+    merged = reported(max(diam1, diam2, val))
+    blen, val = reported(blen), reported(val)
     return BridgeSolution(
         p=p,
         q=q,
@@ -315,7 +284,7 @@ def approx_greedy(t1: WeightedTree, t2: WeightedTree) -> BridgeSolution:
         merged_diameter=merged,
         witness=(x, y),
         method="greedy",
-        backend=_backend_of(val),
+        backend=backend_of(val),
     )
 
 
@@ -409,7 +378,7 @@ def one_bridge_decide(
     scanned candidates are swept, and each swept q gets one sorted index
     of T2's leaf distances, searched by a bisect window per leaf of T1.
     """
-    exact = _resolve_mode(t1, t2) == "rational" and is_exact(c1) and is_exact(c2)
+    exact = resolve_backend(t1, t2) == "rational" and is_exact(c1) and is_exact(c2)
     num = (lambda v: v) if exact else float
     if exact and c1 < 0:
         return None
@@ -480,7 +449,7 @@ def connect_forest(trees: Sequence[WeightedTree]) -> ForestConnection:
     k = len(trees)
     if k < 2:
         raise ValueError("need at least two trees")
-    _resolve_mode(*trees)  # raises when rational is forced on inexact trees
+    resolve_backend(*trees)  # raises when rational is forced on inexact trees
     eccs = [tree_eccentricities(t) for t in trees]
     centers = [center_vertex(e) for e in eccs]
     radii = [_eccentricity(t, c)[0] for t, c in zip(trees, centers)]
@@ -505,7 +474,7 @@ def connect_forest(trees: Sequence[WeightedTree]) -> ForestConnection:
     bridges = tuple(
         (i, centers[i], h, centers[h]) for i in range(k) if i != h
     )
-    return ForestConnection(bridges=bridges, diameter=_reported(diam), hub=h)
+    return ForestConnection(bridges=bridges, diameter=reported(diam), hub=h)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ bridge exact and twin solve|brute take --emit-dot.
 The run report's result for the solver and verify commands is the returned
 dataclass: its fields under the same names, plus consistent on verify.
 Every solver follows BRIDGEWORKS_BACKEND (rational or double) as the
-library does. Scaling measurements live in the perfbench/ harness.
+library does; under rational, a tree file with an inexact coordinate or
+weight is refused with its path as it loads. Scaling measurements live in
+the perfbench/ harness.
 
 Exit codes: 0 solved / verified true, 1 decision false or verification
 disagreement, 2 input or usage error (an arithmetic overflow on the input
@@ -55,6 +57,7 @@ from .io import (
     serialize_graph,
     serialize_tree,
 )
+from .numerics import backend_override
 from .twin import brute_force_twin, crossing_optimum_instance, solve_twin
 
 # the reductions load only in the commands that use them
@@ -96,6 +99,8 @@ def _json_text(data) -> str:
 
 def _load_tree(run: _Run, path: str) -> WeightedTree:
     tree, digest = _parse_file(path, parse_tree)
+    if backend_override() == "rational" and not tree.exact:
+        raise ValueError(f"{path}: BRIDGEWORKS_BACKEND=rational requires exact coordinates/weights")
     run.add_instance(path, "tree", digest, vertices=tree.n, edges=len(tree.edges))
     return tree
 

@@ -178,6 +178,14 @@ class WeightedTree:
         return len(self.points)
 
     @cached_property
+    def exact(self) -> bool:
+        """Every coordinate and edge weight passes is_exact; an embedded length
+        does only when rational ((0,0)-(3,4) is 5, (0,0)-(1,1) a float).
+        Computed once; not a field, so ==, hash and repr ignore it."""
+        return all(map(is_exact, chain(chain.from_iterable(self.points),
+                                       (w for _, _, w in self.edges))))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, Number], ...], ...]:
         adj: list[list[tuple[int, Number]]] = [[] for _ in self.points]
         for u, v, w in self.edges:
@@ -213,13 +221,8 @@ def single_source_tree_distances(tree: WeightedTree, src: int) -> list[Number]:
 
 def first_argmax(vals: Sequence[Number]) -> tuple[Number, int]:
     """Largest value and the lowest index attaining it."""
-    best = vals[0]
-    arg = 0
-    for i in range(1, len(vals)):
-        if vals[i] > best:
-            best = vals[i]
-            arg = i
-    return best, arg
+    m = max(vals)   # the first maximal element, which index() finds again
+    return m, vals.index(m)
 
 
 class Eccentricities(NamedTuple):

@@ -1,10 +1,14 @@
-"""Numeric backend helpers.
+"""Numeric backend helpers, and the one rule that picks a solver's backend.
 
 Two regimes coexist: exact rational arithmetic (int / fractions.Fraction) and
 IEEE doubles. Values stay exact as long as every operation on them is exact;
 the first inexact operand degrades the result to float, which is the intended
 behavior. Comparisons between mixed operands are well defined because Python
 compares Fraction and float exactly.
+
+Every solver takes its regime from resolve_backend, which reads
+WeightedTree.exact and BRIDGEWORKS_BACKEND; reported and backend_of shape
+what the solver returns to match.
 """
 
 from __future__ import annotations
@@ -13,6 +17,10 @@ import math
 import os
 from fractions import Fraction
 from numbers import Rational
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .geometry import WeightedTree
 
 TOLERANCE = 1e-9
 
@@ -34,6 +42,32 @@ def backend_override() -> str | None:
 
 def is_exact(x: Number) -> bool:
     return isinstance(x, Rational)
+
+
+def resolve_backend(*trees: WeightedTree) -> str:
+    """The backend of a solver over these trees: 'rational' when every tree
+    is exact, else 'double'. BRIDGEWORKS_BACKEND=double forces 'double';
+    BRIDGEWORKS_BACKEND=rational on an inexact tree raises ValueError
+    naming the first such tree's 1-based position."""
+    ov = backend_override()
+    if ov == "double":
+        return "double"
+    bad = next((i for i, t in enumerate(trees, 1) if not t.exact), None)
+    if bad is not None and ov == "rational":
+        raise ValueError("BRIDGEWORKS_BACKEND=rational requires exact coordinates/weights;"
+                         f" tree {bad} has an inexact one")
+    return "double" if bad else "rational"
+
+
+def backend_of(value: Number) -> str:
+    return "rational" if is_exact(value) else "double"
+
+
+def reported(x: Number) -> Number:
+    """x as a solver reports it: a float under BRIDGEWORKS_BACKEND=double,
+    which may otherwise leave exact values (a dominating tree diameter,
+    exact eccentricities) in the report."""
+    return float(x) if backend_override() == "double" else x
 
 
 def exact_sqrt(x: Number) -> Fraction | None:

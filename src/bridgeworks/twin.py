@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bridge import _backend_of, _reported, _resolve_mode, _tree_is_exact
 from .geometry import (
     WeightedTree,
     build_distance_table,
@@ -38,7 +37,7 @@ from .geometry import (
     single_source_tree_distances,
     walk_parents,
 )
-from .numerics import Number
+from .numerics import Number, backend_of, reported, resolve_backend
 
 
 @dataclass(frozen=True)
@@ -130,12 +129,12 @@ def evaluate_constrained_diameter(
     if kind == "cross":
         via1 = d1(a, p1) + w1 + d2(q1, b)
         via2 = d1(a, p2) + w2 + d2(q2, b)
-        return TwinEvaluation(_reported(min(via1, via2)), (a, b), kind, 1 if via1 <= via2 else 2)
+        return TwinEvaluation(reported(min(via1, via2)), (a, b), kind, 1 if via1 <= via2 else 2)
     if kind == "t1":
         value = _detour(d1, a, b, p1, p2, w1 + d2(q1, q2) + w2)
-        return TwinEvaluation(_reported(value), (a, b), kind, 3)
+        return TwinEvaluation(reported(value), (a, b), kind, 3)
     value = _detour(d2, a, b, q1, q2, w1 + d1(p1, p2) + w2)
-    return TwinEvaluation(_reported(value), (a, b), kind, 4)
+    return TwinEvaluation(reported(value), (a, b), kind, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -176,35 +175,29 @@ class _Arrays:
     tables and the cross distances (D1, D2, W), plus each tree's lex-min
     diameter pair (diameter_pairs). Trees under 2 vertices raise ValueError.
 
-    Exact input (every edge weight and every cross distance an int or
-    Fraction) is multiplied by `scale`, the lcm of their denominators: the
-    edge weights are lifted to ints first, so the tables are int sums, and
-    the cross distances come from integer coordinates. The arrays hold
-    those integers as float64 while the scaled magnitudes stay below 2**40
-    (sums of up to five, the most the searches form, are then exact
-    integers below 2**53), Python ints in an object array past that; they
-    order exactly as the exact values do, and v stands for
-    Fraction(v, scale). Under BRIDGEWORKS_BACKEND=double each integer v
-    becomes the float v / scale, the correctly rounded exact value. Inexact
-    input (any float weight or cross distance) gives float64 tables built
-    in the input's own arithmetic; as for the single bridge,
-    BRIDGEWORKS_BACKEND=rational on inexact trees raises ValueError.
-    `scale` is None on float64 values. upper1 and upper2 index the vertex
-    pairs a < b of each tree, row by row.
+    On the rational backend (numerics.resolve_backend) with every cross
+    distance rational, all of it is multiplied by `scale`, the lcm of the
+    edge weights' and cross distances' denominators: the tables are sums of
+    the lifted int weights, the cross distances come from integer
+    coordinates. Those integers are float64 while the scaled magnitudes stay
+    below 2**40 (sums of up to five, the most the searches form, are then
+    exact below 2**53), Python ints in an object array past that; they order
+    as the exact values do, and v stands for Fraction(v, scale). Otherwise
+    (`scale` None) the input's own tables and cross distances are rounded
+    once per entry to float64, so forced double on exact input holds each
+    exact value correctly rounded. upper1 and upper2 index the vertex pairs
+    a < b of each tree, row by row.
     """
 
     def __init__(self, t1: WeightedTree, t2: WeightedTree):
         if t1.n < 2 or t2.n < 2:
             raise ValueError("twin bridges need at least 2 vertices in each tree")
-        double = _resolve_mode(t1, t2) == "double"
-        cross = None
-        if _tree_is_exact(t1) and _tree_is_exact(t2):
-            cross = _scaled_cross_distances(t1, t2)
-        self.scale = conv = None
+        cross = _scaled_cross_distances(t1, t2) if resolve_backend(t1, t2) == "rational" else None
+        self.scale = None
         dtype = np.float64
         if cross is not None:
             c, R = cross
-            scale = math.lcm(
+            self.scale = scale = math.lcm(
                 *{w.denominator for t in (t1, t2) for _, _, w in t.edges},
                 *{c // math.gcd(r, c) for row in R for r in row},
             )
@@ -217,19 +210,13 @@ class _Arrays:
                 for t in (t1, t2)
             ]
             W = [[r * scale // c for r in row] for row in R]
-            if double:
-                conv = lambda v: v / scale  # noqa: E731
-            else:
-                self.scale = scale
-                top = max(tabs[0].diameter, tabs[1].diameter, max(map(max, W)))
-                dtype = np.float64 if top < 2**40 else object
+            top = max(tabs[0].diameter, tabs[1].diameter, max(map(max, W)))
+            dtype = np.float64 if top < 2**40 else object
         else:
             W = [[euclidean_distance(p, q) for q in t2.points] for p in t1.points]
             tabs = [build_distance_table(t1), build_distance_table(t2)]
-        tables = (tabs[0].dist, tabs[1].dist, W)
-        if conv is not None:
-            tables = ([[conv(x) for x in row] for row in m] for m in tables)
-        self.D1, self.D2, self.W = (np.array(m, dtype=dtype) for m in tables)
+        self.D1, self.D2, self.W = (
+            np.array(m, dtype=dtype) for m in (tabs[0].dist, tabs[1].dist, W))
         self.diameter_pairs = (tabs[0].diameter_pair, tabs[1].diameter_pair)
         self.upper1 = np.triu_indices(t1.n, 1)
         self.upper2 = np.triu_indices(t2.n, 1)
@@ -292,7 +279,7 @@ def _finish(t1, t2, arr: _Arrays, cand: tuple[int, int, int, int]) -> TwinBridge
         dominant_case=ev.dominant_case,
         witness=ev.witness,
         intersecting=crossing,
-        backend=_backend_of(ev.value),
+        backend=backend_of(ev.value),
     )
 
 

@@ -29,7 +29,7 @@ from bridgeworks import (
 )
 from bridgeworks.bridge import bichromatic_closest_pair
 from bridgeworks.geometry import Point, single_source_tree_distances, tree_eccentricities
-from bridgeworks.numerics import is_exact
+from bridgeworks.numerics import is_exact, resolve_backend
 from bridgeworks.reductions import cov_to_one_bridge, random_instance, sat_to_cov
 from bridgeworks.twin import (
     brute_force_twin,
@@ -398,6 +398,25 @@ def test_backend_override_forces_double(monkeypatch):
     forced = solve_exact(t1, t2)
     assert forced.backend == "double"
     assert math.isclose(float(forced.value), float(exact.value), rel_tol=1e-9)
+
+
+def test_resolve_backend_rule(monkeypatch):
+    exact = WeightedTree([(0, 0), (Fraction(3, 2), 2)], [(0, 1)])
+    slanted = WeightedTree([(0, 0), (1, 1)], [(0, 1)])   # int coordinates, float length
+    floats = WeightedTree([(0.5, 0), (3, 1)], [(0, 1)])
+    assert resolve_backend(exact, exact) == "rational"
+    assert resolve_backend(exact, floats) == resolve_backend(slanted, exact) == "double"
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "double")
+    assert resolve_backend(exact, exact) == resolve_backend(exact, floats) == "double"
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "rational")
+    assert resolve_backend(exact, exact, exact) == "rational"
+    for trees, pos in (((floats, exact), 1), ((exact, slanted, floats), 2),
+                       ((exact, exact, floats), 3)):
+        with pytest.raises(ValueError, match=f"requires exact coordinates/weights; tree {pos} "):
+            resolve_backend(*trees)
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "float")
+    with pytest.raises(ValueError, match="must be 'rational' or 'double'"):
+        resolve_backend(exact)
 
 
 def reported_numbers(sol):

@@ -264,6 +264,47 @@ def test_exact_inputs_stay_exact():
     assert all(isinstance(d, (int, Fraction)) for row in table.dist for d in row)
 
 
+def test_tree_exact_flag():
+    exact = [
+        WeightedTree([(0, 0), (3, 0), (3, 4)], [(0, 1), (1, 2)]),
+        WeightedTree([(Fraction(1, 3), 0), (Fraction(1, 3), Fraction(5, 7))], [(0, 1)]),
+        WeightedTree([(0, 0), (3, 4)], [(0, 1)]),          # length 5
+        WeightedTree([(0, 0), (1, 1)], [(0, 1, Fraction(3, 2))], explicit_weights=True),
+    ]
+    inexact = [
+        WeightedTree([(0, 0), (0.5, 0)], [(0, 1)]),        # a float coordinate
+        WeightedTree([(0, 0), (1, 0)], [(0, 1, 2.5)], explicit_weights=True),
+        WeightedTree([(0, 0), (1, 1)], [(0, 1)]),          # length sqrt(2)
+        WeightedTree([(0, 0), (3, 4), (4, 5)], [(0, 1), (1, 2)]),
+    ]
+    assert [t.exact for t in exact] == [True] * 4
+    assert [t.exact for t in inexact] == [False] * 4
+    # cached, read-only, and outside ==, hash and repr
+    t, fresh = inexact[2], WeightedTree([(0, 0), (1, 1)], [(0, 1)])
+    assert "exact" in vars(t) and "exact" not in vars(fresh)
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    with pytest.raises(AttributeError):
+        t.exact = True
+
+
+def test_first_argmax_keeps_the_first_maximum_and_its_type():
+    def loop(vals):   # the reference: a strict > scan from the left
+        best, arg = vals[0], 0
+        for i in range(1, len(vals)):
+            if vals[i] > best:
+                best, arg = vals[i], i
+        return best, arg
+
+    cases = [[2], [1, 5, Fraction(5), 3], [Fraction(5), 5.0, 5], [0.5, 7, 2, 7.0], [3, 2, 1]]
+    rng = random.Random(5)
+    kinds = (int, float, lambda v: Fraction(v), lambda v: Fraction(2 * v, 2))
+    cases += [[rng.choice(kinds)(rng.randrange(4)) for _ in range(rng.randint(1, 9))]
+              for _ in range(300)]
+    for vals in cases:
+        (m, i), (want_m, want_i) = first_argmax(vals), loop(vals)
+        assert i == want_i and m is want_m is vals[i]
+
+
 def test_explicit_weights_override_geometry():
     pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
     tree = WeightedTree(pts, [(0, 1, Fraction(42))], explicit_weights=True)

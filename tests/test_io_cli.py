@@ -595,6 +595,19 @@ def test_cli_rational_backend_rejects_float_trees(tmp_path, capsys, monkeypatch)
         assert "requires exact coordinates/weights" in err
 
 
+def test_cli_rational_backend_names_the_inexact_file(tmp_path, capsys, monkeypatch):
+    ex = write_tree(tmp_path, "exact.txt", WeightedTree([(0, 0), (3, 4)], [(0, 1)]))
+    fl = write_tree(tmp_path, "float.txt", WeightedTree([(10, 0), (11, 1)], [(0, 1)]))
+    monkeypatch.setenv("BRIDGEWORKS_BACKEND", "rational")
+    for argv in (("bridge", "exact", ex, fl), ("forest", "connect", ex, fl, ex),
+                 ("twin", "solve", fl, ex)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {fl}: ") and "requires exact coordinates/weights" in err
+    code, _, _ = run_cli(capsys, "forest", "connect", ex, ex)
+    assert code == 0
+
+
 def test_cli_twin_solve_on_zero_diameter_trees(tmp_path, capsys):
     # two single edges of explicit weight 0
     p1 = write_tree(tmp_path, "z1.txt", WeightedTree(
