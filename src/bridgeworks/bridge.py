@@ -23,6 +23,8 @@ from .geometry import (
     _non_finite_row,
     build_distance_table,  # noqa: F401  unused; perfbench/tracing.py patches this name
     center_vertex,
+    cross_distance,
+    distance_too_large,
     euclidean_distance,
     first_argmax,
     single_source_tree_distances,
@@ -139,7 +141,10 @@ def _scan_exact(t1, t2, e1, e2):
                     _, p, q, w = best
                     return p, q, w
                 break
-            w = euclidean_distance(a, pts2[q])
+            try:
+                w = euclidean_distance(a, pts2[q])
+            except OverflowError:
+                raise distance_too_large("t1", p, "t2", q) from None
             cand = (ep + w + eq, p, q, w)
             if best is None or cand < best:
                 best = cand
@@ -324,7 +329,7 @@ def bichromatic_closest_pair(
         i, j = _closest_pair_exact(pts1, pts2)
     else:
         _, i, j = _blocked_argmin(*xy)
-    return i, j, euclidean_distance(pts1[i], pts2[j])
+    return i, j, cross_distance(pts1, i, pts2, j, ("pts1", "pts2"))
 
 
 def _closest_pair_exact(pts1: Sequence[Point], pts2: Sequence[Point]) -> tuple[int, int]:
@@ -400,7 +405,7 @@ def one_bridge_decide(
             (p, q)
             for p in range(t1.n)
             for q in range(t2.n)
-            if values_equal(euclidean_distance(t1.points[p], t2.points[q]), c1)
+            if values_equal(cross_distance(t1.points, p, t2.points, q), c1)
         ]
 
     leaves1 = _leaves(t1)
@@ -458,7 +463,8 @@ def connect_forest(trees: Sequence[WeightedTree]) -> ForestConnection:
     best = None
     for h in range(k):
         offs = [
-            euclidean_distance(trees[i].points[centers[i]], trees[h].points[centers[h]])
+            cross_distance(trees[i].points, centers[i], trees[h].points, centers[h],
+                           (f"trees[{i}]", f"trees[{h}]"))
             if i != h
             else 0
             for i in range(k)

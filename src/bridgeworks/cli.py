@@ -19,7 +19,8 @@ the perfbench/ harness.
 
 Exit codes: 0 solved / verified true, 1 decision false or verification
 disagreement, 2 input or usage error (an arithmetic overflow on the input
-included; an error reading or parsing an input file starts with its path).
+included; an error reading or parsing an input file starts with its path,
+an overflow between trees with every tree file's path).
 --json prints a run report whose bytes are reproducible except for
 duration_ms.
 """
@@ -136,6 +137,16 @@ class _Run:
         entry.update(extra)
         self.report["instances"].append(entry)
 
+    def solve(self, solver, *args):
+        """solver(*args). An OverflowError, a distance between two input
+        trees past the float range, is raised again with the loaded input
+        paths in front: it belongs to no one file."""
+        try:
+            return solver(*args)
+        except OverflowError as exc:
+            paths = ", ".join(entry["path"] for entry in self.report["instances"])
+            raise OverflowError(f"{paths}: {exc}") from exc
+
     def finish(self, result: dict, human_lines: list[str], exit_code: int) -> int:
         self.report["result"] = result
         self.report["exit_code"] = exit_code
@@ -189,7 +200,7 @@ def _cmd_bridge(args) -> int:
     if args.mode == "decide":
         c1 = parse_number(args.c1)
         c2 = parse_number(args.c2)
-        witness = one_bridge_decide(t1, t2, c1, c2)
+        witness = run.solve(one_bridge_decide, t1, t2, c1, c2)
         result = {
             "c1": number_to_json(c1),
             "c2": number_to_json(c2),
@@ -202,10 +213,7 @@ def _cmd_bridge(args) -> int:
             [f"witness bridge ({witness.p}, {witness.q}) leaves ({witness.x}, {witness.y})"],
             0,
         )
-    if args.mode == "exact":
-        sol = solve_exact(t1, t2)
-    else:
-        sol = approx_greedy(t1, t2)
+    sol = run.solve(solve_exact if args.mode == "exact" else approx_greedy, t1, t2)
     if args.emit_dot:
         _emit_dot(args.emit_dot, t1, t2, [(sol.p, sol.q)])
     human = [
@@ -222,9 +230,9 @@ def _cmd_twin(args) -> int:
     t1 = _load_tree(run, args.t1)
     t2 = _load_tree(run, args.t2)
     if args.mode == "solve":
-        sol = solve_twin(t1, t2)
+        sol = run.solve(solve_twin, t1, t2)
     else:
-        sol = brute_force_twin(t1, t2, force=args.force)
+        sol = run.solve(brute_force_twin, t1, t2, args.force)
     if args.emit_dot:
         _emit_dot(args.emit_dot, t1, t2, [sol.bridge1, sol.bridge2])
     human = [
@@ -238,7 +246,7 @@ def _cmd_twin(args) -> int:
 
 def _cmd_forest(args) -> int:
     run = _Run(args)
-    conn = connect_forest([_load_tree(run, path) for path in args.forests])
+    conn = run.solve(connect_forest, [_load_tree(run, path) for path in args.forests])
     human = [f"hub tree {conn.hub}", f"diameter {format_number(conn.diameter)}"]
     human += [f"bridge tree{i} v{u} -- tree{j} v{v}" for i, u, j, v in conn.bridges]
     return run.finish(_result(conn), human, 0)

@@ -52,6 +52,30 @@ def euclidean_distance(a: Point, b: Point) -> Number:
     return math.hypot(float(dx), float(dy))
 
 
+def distance_too_large(side1: str, i: int, side2: str, j: int) -> OverflowError:
+    """The error for a distance from vertex i of side1 to vertex j of side2
+    that is past the float range: an irrational length between huge exact
+    points, or a huge exact coordinate against a float one."""
+    return OverflowError(
+        f"distance from {side1} vertex {i} to {side2} vertex {j} is too large for a float"
+    )
+
+
+def cross_distance(
+    pts1: Sequence[Point],
+    i: int,
+    pts2: Sequence[Point],
+    j: int,
+    sides: tuple[str, str] = ("t1", "t2"),
+) -> Number:
+    """euclidean_distance(pts1[i], pts2[j]); past the float range the
+    OverflowError names both points (distance_too_large)."""
+    try:
+        return euclidean_distance(pts1[i], pts2[j])
+    except OverflowError:
+        raise distance_too_large(sides[0], i, sides[1], j) from None
+
+
 # ---------------------------------------------------------------------------
 # Weighted trees
 
@@ -80,10 +104,13 @@ class WeightedTree:
     With explicit_weights=True the given weights stand on their own (they
     may disagree with the embedding); they must be nonnegative.
 
-    The constructor roots the tree at vertex 0 and keeps, in three private
-    lists of n entries (O(n) memory, outside ==, hash and repr), a
-    parent-first visit order, each vertex's parent and the weight of the
-    edge to it, for single_source_tree_distances.
+    The constructor roots the tree at vertex 0 by peeling leaves towards
+    it, from flat per-vertex int lists (each vertex's degree and the XOR of
+    its edge ids), and keeps, in three private lists of n entries (O(n)
+    memory, outside ==, hash and repr), a parent-first order (vertex 0,
+    then the peel order reversed), each vertex's parent and the weight of
+    the edge to it, for single_source_tree_distances. `adjacency` is built
+    on first use only: the sweeps do not need it.
     """
 
     points: tuple[Point, ...]
@@ -106,6 +133,11 @@ class WeightedTree:
         if bad is not None:
             raise ValueError(f"vertex {bad} has a non-finite coordinate in {tuple(pts[bad])}")
         norm_edges = []
+        # for the peel below: each vertex's degree and the XOR of its edge
+        # ids. Vertex 0 starts 2 above its degree: a peel takes one of its
+        # own edges at a time, so it never looks like a leaf
+        deg = [2] + [0] * (n - 1)
+        link = [0] * n
         for e in edges:
             e = tuple(e)
             if len(e) == 2:
@@ -137,6 +169,11 @@ class WeightedTree:
                     raise ValueError(
                         f"edge ({u},{v}) weight {w} != embedded length {geo}"
                     )
+            i = len(norm_edges)
+            deg[u] += 1
+            deg[v] += 1
+            link[u] ^= i
+            link[v] ^= i
             norm_edges.append((u, v, w))
         if explicit_weights:
             bad = _non_finite_row(norm_edges)
@@ -153,23 +190,31 @@ class WeightedTree:
         object.__setattr__(self, "edges", tuple(norm_edges))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "explicit_weights", explicit_weights)
-        # one walk from vertex 0 checks the tree (n-1 edges + connected) and
-        # roots it there: the list grows while the loop reads it, so each
-        # vertex comes after its parent
-        parent = [None] * n
+        # peel leaves towards vertex 0: a leaf's link is the id of its one
+        # edge left, whose other end is its parent. The edges form a tree iff
+        # every other vertex is peeled; a cycle is never peeled, and every
+        # non-tree input with n-1 edges has one
+        parent = [0] * n          # vertex 0 is its own parent, at weight 0
         parent_weight = [0] * n
-        parent[0] = 0
-        order = [0]
-        adj = self.adjacency
-        for u in order:
-            for v, w in adj[u]:
-                if parent[v] is None:
-                    parent[v] = u
-                    parent_weight[v] = w
-                    order.append(v)
-        if len(order) < n:
+        peel = [v for v, d in enumerate(deg) if d == 1]
+        for v in peel:   # the list grows while the loop reads it
+            i = link[v]
+            a, b, w = norm_edges[i]
+            u = a ^ b ^ v
+            parent[v] = u
+            parent_weight[v] = w
+            link[u] ^= i
+            deg[u] -= 1
+            if deg[u] == 1:
+                peel.append(u)
+            elif not deg[u]:   # u's last edge was v's: a component without 0
+                break
+        if len(peel) < n - 1:
             raise ValueError("edges do not form a connected tree")
-        object.__setattr__(self, "_order", order)
+        # each vertex is peeled before its parent
+        peel.append(0)
+        peel.reverse()
+        object.__setattr__(self, "_order", peel)
         object.__setattr__(self, "_parent", parent)
         object.__setattr__(self, "_parent_weight", parent_weight)
 
@@ -187,6 +232,8 @@ class WeightedTree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, Number], ...], ...]:
+        """Each vertex's (neighbour, weight) pairs in edge-list order, built
+        on first use; not a field, so ==, hash and repr ignore it."""
         adj: list[list[tuple[int, Number]]] = [[] for _ in self.points]
         for u, v, w in self.edges:
             adj[u].append((v, w))

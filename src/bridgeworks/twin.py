@@ -31,6 +31,7 @@ import numpy as np
 from .geometry import (
     WeightedTree,
     build_distance_table,
+    cross_distance,
     euclidean_distance,
     path_vertices,
     segments_properly_cross,
@@ -213,7 +214,8 @@ class _Arrays:
             top = max(tabs[0].diameter, tabs[1].diameter, max(map(max, W)))
             dtype = np.float64 if top < 2**40 else object
         else:
-            W = [[euclidean_distance(p, q) for q in t2.points] for p in t1.points]
+            W = [[cross_distance(t1.points, p, t2.points, q) for q in range(t2.n)]
+                 for p in range(t1.n)]
             tabs = [build_distance_table(t1), build_distance_table(t2)]
         self.D1, self.D2, self.W = (
             np.array(m, dtype=dtype) for m in (tabs[0].dist, tabs[1].dist, W))

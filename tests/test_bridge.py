@@ -232,6 +232,23 @@ def test_closest_pair_rejects_non_finite_coordinates(bad):
         assert str(ei.value) == want
 
 
+def test_a_cross_distance_past_the_float_range_names_both_points():
+    # from (4, 3) to (10**400, 10**400) on a diagonal: irrational, so a float
+    big = 10**400
+    t1 = WeightedTree([(0, 0), (4, 0), (4, 3)], [(0, 1), (1, 2)])
+    t2 = WeightedTree([(big, big), (big, big + 1)], [(0, 1)])
+    for call, where in (
+        (lambda: solve_exact(t1, t2), "t1 vertex 1 to t2 vertex 0"),
+        (lambda: approx_greedy(t1, t2), "pts1 vertex 2 to pts2 vertex 0"),
+        (lambda: one_bridge_decide(t1, t2, 1.5, 2), "t1 vertex 0 to t2 vertex 0"),
+        (lambda: connect_forest([t2, t1]), "trees[1] vertex 1 to trees[0] vertex 0"),
+        (lambda: solve_twin(t1, t2), "t1 vertex 0 to t2 vertex 0"),
+    ):
+        with pytest.raises(OverflowError) as ei:
+            call()
+        assert str(ei.value) == f"distance from {where} is too large for a float"
+
+
 def test_chunk_sizes_do_not_change_result(monkeypatch):
     # one-row chunks put every tie across a chunk boundary; n1 * n2 entries
     # scan the whole matrix as one chunk

@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from bridgeworks.geometry import (
     tree_eccentricities,
     walk_parents,
 )
-from bridgeworks.bridge import bichromatic_closest_pair
+from bridgeworks.bridge import approx_greedy, bichromatic_closest_pair, connect_forest, solve_exact
 from scan_oracles import closest_pair_scan, tree_distances_dfs
 
 
@@ -150,6 +151,127 @@ def test_tree_distances_on_a_long_path():
     for src in (0, 1999, 1000):
         got = single_source_tree_distances(tree, src)
         assert list(map(repr, got)) == list(map(repr, tree_distances_dfs(tree, src)))
+
+
+# ---------------------------------------------------------------- rooting
+
+def bfs_rooting(tree):
+    """Each vertex's parent and the weight of the edge to it, from a
+    breadth-first walk from vertex 0 over the tree's own edge list; vertex 0
+    is its own parent, at weight 0."""
+    adj = [[] for _ in range(tree.n)]
+    for u, v, w in tree.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    parent, weight = [None] * tree.n, [0] * tree.n
+    parent[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v, w in adj[u]:
+            if parent[v] is None:
+                parent[v], weight[v] = u, w
+                queue.append(v)
+    return parent, weight
+
+
+def bits(values):
+    """Type and value of each entry, a float by its hex digits."""
+    return [(type(x), x.hex() if isinstance(x, float) else x) for x in values]
+
+
+def relabelled(rng, tree):
+    """The same tree with its vertices numbered in a random order."""
+    perm = list(range(tree.n))
+    rng.shuffle(perm)
+    points = [None] * tree.n
+    for v, p in enumerate(tree.points):
+        points[perm[v]] = p
+    return WeightedTree(points, [(perm[u], perm[v], w) for u, v, w in tree.edges],
+                        explicit_weights=tree.explicit_weights)
+
+
+def rooting_trees():
+    """Random float, int and Fraction trees (n <= 60, vertices renumbered)
+    with their edge lists shuffled, reversed and with every endpoint pair
+    swapped; paths listed from the far leaf to vertex 0; stars centred away
+    from vertex 0; and trees of one and two vertices."""
+    rng = random.Random(41)
+    trees = [WeightedTree([(0, 0)], []), WeightedTree([(0.5, 0.25)], []),
+             WeightedTree([(0, 0), (3, 4)], [(0, 1)]), WeightedTree([(0, 0), (3, 4)], [(1, 0)]),
+             WeightedTree([(0.5, 0), (0.25, 1)], [(1, 0)])]
+    for trial in range(45):
+        n = rng.randint(2, 60)
+        kind = trial % 3
+        if kind == 0:
+            tree = gen_random_tree(n, rng.randrange(10**6))                          # float
+        elif kind == 1:
+            tree = gen_random_tree(n, rng.randrange(10**6), bbox=(0, 0, 9 * n, 9), grid=True)  # int
+        else:
+            tree = random_tree(rng, n, "explicit")                                  # Fraction
+        tree = relabelled(rng, tree)
+        trees += [
+            tree,
+            shuffled_edges(rng, tree),
+            WeightedTree(tree.points, tree.edges[::-1], explicit_weights=tree.explicit_weights),
+            WeightedTree(tree.points, [(v, u, w) for u, v, w in tree.edges],
+                         explicit_weights=tree.explicit_weights),
+        ]
+    for n in (3, 8, 31):
+        xs = [Fraction(k * k, 3) for k in range(n)]
+        trees += [
+            WeightedTree([(x, 0) for x in xs], [(k, k - 1) for k in range(n - 1, 0, -1)]),
+            WeightedTree([(float(x), 0.0) for x in xs], [(k - 1, k) for k in range(n - 1, 0, -1)]),
+            WeightedTree([(k, k) for k in range(n)], [(n // 2, k) for k in range(n) if k != n // 2]),
+            WeightedTree([(math.cos(k), math.sin(k)) for k in range(n)],
+                         [(k, n - 1) for k in range(n - 1)]),
+        ]
+    return trees
+
+
+def test_rooting_matches_a_breadth_first_reference():
+    for tree in rooting_trees():
+        parent, weight = bfs_rooting(tree)
+        assert tree._parent == parent
+        assert bits(tree._parent_weight) == bits(weight)
+        order = tree._order
+        assert sorted(order) == list(range(tree.n)) and order[0] == 0
+        place = {v: i for i, v in enumerate(order)}
+        assert all(place[parent[v]] < place[v] for v in range(1, tree.n))
+        for src in range(tree.n):
+            assert (bits(single_source_tree_distances(tree, src))
+                    == bits(tree_distances_dfs(tree, src)))
+
+
+def test_rooting_a_long_path_needs_no_recursion():
+    # listed from the far leaf to vertex 0, so each vertex waits on the next
+    n = 200_000
+    tree = WeightedTree([(k, 0) for k in range(n)], [(k, k - 1) for k in range(n - 1, 0, -1)])
+    assert single_source_tree_distances(tree, n - 1) == list(range(n - 1, -1, -1))
+
+
+@pytest.mark.parametrize("points,edges", [
+    ([(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 1), (1, 0), (2, 3)]),   # duplicate, piece without 0
+    ([(0, 0), (1, 0), (2, 0), (2, 1)], [(1, 2), (2, 3), (3, 1)]),   # triangle, 0 isolated
+    ([(0, 0), (1, 0), (2, 0), (2, 1)], [(0, 1), (1, 2), (2, 0)]),   # triangle on 0, 3 isolated
+])
+def test_rooting_rejects_what_is_not_a_tree(points, edges):
+    with pytest.raises(ValueError, match="edges do not form a connected tree"):
+        WeightedTree(points, edges)
+
+
+def test_adjacency_is_built_on_first_use():
+    tree = WeightedTree([(0, 0), (3, 4), (3, 0), (0, 4)], [(1, 0), (1, 2), (3, 0)])
+    other = WeightedTree([(10, 0), (10, 3), (13, 3)], [(0, 1), (2, 1)])
+    build_distance_table(tree)
+    tree_eccentricities(tree)
+    solve_exact(tree, other)
+    approx_greedy(tree, other)
+    connect_forest([other, tree, other])
+    assert "adjacency" not in vars(tree) and "adjacency" not in vars(other)
+    # each vertex's neighbours in edge-list order
+    assert tree.adjacency == (((1, 5), (3, 4)), ((0, 5), (2, 4)), ((1, 4),), ((0, 4),))
+    assert vars(tree)["adjacency"] is tree.adjacency
 
 
 def test_path_distance_equals_sum_of_edge_weights():

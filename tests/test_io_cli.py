@@ -748,6 +748,23 @@ def test_cli_arithmetic_overflow_is_an_input_error(tree_files, tmp_path, capsys,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,where", [
+    (("bridge", "exact"), "t1 vertex 1 to t2 vertex 0"),
+    (("bridge", "approx"), "pts1 vertex 2 to pts2 vertex 0"),
+    (("bridge", "decide", "--c1", "1.5", "--c2", "2"), "t1 vertex 0 to t2 vertex 0"),
+    (("twin", "solve"), "t1 vertex 0 to t2 vertex 0"),
+    (("forest", "connect"), "trees[1] vertex 0 to trees[0] vertex 1"),
+])
+def test_cli_overflow_names_the_input_files(tree_files, tmp_path, capsys, argv, where):
+    # the overflow lies between the trees, so every input path goes in front
+    p1, _, _, _ = tree_files
+    big = 10**400
+    p2 = write_tree(tmp_path, "huge.txt", WeightedTree([(big, big), (big, big + 1)], [(0, 1)]))
+    code, out, err = run_cli(capsys, *argv[:2], p1, p2, *argv[2:])
+    assert code == 2 and out == ""
+    assert err == f"error: {p1}, {p2}: distance from {where} is too large for a float\n"
+
+
 def test_cli_exact_decide_needs_no_float_distance(tree_files, tmp_path, capsys):
     # an exact c1 is matched by squared length, so the 10**400 tree does not overflow
     p1, _, _, _ = tree_files
@@ -779,6 +796,32 @@ def test_python_dash_m_runs_main(module, tree_files, capsys):
     proc = subprocess.run([sys.executable, "-m", module, "bridge", "exact", p1, "/nope.txt"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and "error:" in proc.stderr
+
+
+def test_cli_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # set or dict order in a solver or in tree rooting would show up as
+    # reports that differ between hash seeds
+    floats = [write_tree(tmp_path, f"f{k}.txt", gen_random_tree(n, k))
+              for k, n in enumerate((40, 33, 25))]
+    ints = [write_tree(tmp_path, f"i{k}.txt",
+                       gen_random_tree(n, k, grid=True, bbox=(30 * k, 0, 30 * k + 20, 20)))
+            for k, n in enumerate((7, 6))]
+    commands = [("bridge", "exact", *floats[:2]), ("bridge", "approx", *ints),
+                ("forest", "connect", *floats), ("twin", "solve", *ints)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    reports = {}
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "bridgeworks", *argv, "--json"], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            rep = json.loads(proc.stdout)
+            del rep["duration_ms"]
+            reports.setdefault(argv, []).append(rep)
+    for argv, (rep0, rep1) in reports.items():
+        assert rep0 == rep1, argv
 
 
 # Collinear exact trees: every distance is rational and the optimum values
